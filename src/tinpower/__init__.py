@@ -40,11 +40,9 @@ from .power import (
     achieved_gdof,
     achieved_gdof_polyhedral,
     ggpc,
-    ggpc_compound,
     gsfpc,
     locally_optimal,
     oracle_globally_optimal,
-    power_exponents,
     solve_power,
 )
 from .rates import GdofLimitResult, RateReport, gdof_limit_check, rates, sweep
@@ -52,7 +50,6 @@ from .region import (
     Constraint,
     RegionConstraints,
     enumerate_cycles,
-    gdof_tuple,
     member,
     member_star,
     pareto,
@@ -60,6 +57,6 @@ from .region import (
     sum_gdof,
     symmetric_gdof,
 )
-from .rationals import parse_rational, render_rational
+from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
 
 __all__ = [name for name in dir() if not name.startswith("_")]

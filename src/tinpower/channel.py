@@ -8,7 +8,6 @@ and every operation here is pure, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -39,15 +38,10 @@ class CompoundChannel:
         mathematically inert and only inflate graph sizes); the result is
         validated before being returned.
         """
-        parsed = []
-        for states in receivers:
-            kept: list[StateVector] = []
-            for state in states:
-                vec = tuple(parse_rational(x) for x in state)
-                if vec not in kept:
-                    kept.append(vec)
-            parsed.append(tuple(kept))
-        channel = cls(len(parsed) if K is None else K, tuple(parsed))
+        parsed = tuple(
+            _distinct(tuple(parse_rational(x) for x in state) for state in states)
+            for states in receivers)
+        channel = cls(len(parsed) if K is None else K, parsed)
         validate(channel)
         return channel
 
@@ -56,9 +50,19 @@ class CompoundChannel:
         return tuple(len(states) for states in self.receivers)
 
 
+def _distinct(states) -> StateSet:
+    """The state vectors with exact duplicates dropped, first occurrences
+    kept in order."""
+    return tuple(dict.fromkeys(states))
+
+
 @dataclass(frozen=True)
 class RegularChannel:
-    """Single-state channel: a thin view exposing the K x K strength matrix."""
+    """Single-state channel: a thin view exposing the K x K strength matrix.
+
+    It reads as the channel it wraps, so it can be passed wherever a
+    ``CompoundChannel`` is accepted.
+    """
 
     channel: CompoundChannel
 
@@ -77,6 +81,14 @@ class RegularChannel:
     @property
     def K(self) -> int:
         return self.channel.K
+
+    @property
+    def receivers(self) -> tuple[StateSet, ...]:
+        return self.channel.receivers
+
+    @property
+    def state_counts(self) -> tuple[int, ...]:
+        return self.channel.state_counts
 
     @property
     def matrix(self) -> tuple[StateVector, ...]:
@@ -178,22 +190,11 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
     rows = []
     for k, states in enumerate(channel.receivers):
         direct = min(vec[k] for vec in states)
-        row = []
-        for j in range(K):
-            if j == k:
-                row.append(direct)
-                continue
-            gain = min(vec[k] - vec[j] for vec in states)
-            cross = direct - gain
-            if cross < 0:
-                # Unreachable for validated inputs (the gain at the weakest
-                # direct state is at most that state's direct strength), but
-                # kept as a tripwire for callers bypassing validation.
-                warnings.warn(
-                    f"counterpart cross link ({k},{j}) came out negative "
-                    f"({cross}); keeping it", RuntimeWarning)
-            row.append(cross)
-        rows.append(tuple(row))
+        # Cross links come out >= 0: the gain in the weakest-direct state is
+        # at most that state's direct strength.
+        rows.append(tuple(
+            direct if j == k else direct - min(vec[k] - vec[j] for vec in states)
+            for j in range(K)))
     return RegularChannel(CompoundChannel(K, tuple((row,) for row in rows)))
 
 
@@ -287,12 +288,7 @@ def subnetwork(channel: CompoundChannel, keep: Sequence[int]) -> CompoundChannel
         raise ValueError("subnetwork needs at least one user")
     if kept[0] < 0 or kept[-1] >= channel.K:
         raise ValueError(f"user indices out of range: {keep}")
-    receivers = []
-    for k in kept:
-        states: list[StateVector] = []
-        for vec in channel.receivers[k]:
-            proj = tuple(vec[j] for j in kept)
-            if proj not in states:
-                states.append(proj)
-        receivers.append(tuple(states))
-    return CompoundChannel(len(kept), tuple(receivers))
+    receivers = tuple(
+        _distinct(tuple(vec[j] for j in kept) for vec in channel.receivers[k])
+        for k in kept)
+    return CompoundChannel(len(kept), receivers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ from fractions import Fraction
 from .channel import (
     CompoundChannel,
     TinViolation,
+    _distinct,
     regular_counterpart,
     subnetwork,
     tin_optimal,
@@ -39,8 +41,8 @@ from .power import (
     solve_power,
 )
 from .rates import sweep
-from .rationals import parse_rational, render_rational
-from .region import gdof_tuple, member, pareto, region_constraints, sum_gdof, symmetric_gdof
+from .rationals import gdof_tuple, parse_rational, render_rational
+from .region import member, pareto, region_constraints, sum_gdof, symmetric_gdof
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -87,12 +89,10 @@ def _parse_channel_doc(doc) -> CompoundChannel:
             if not isinstance(state, list):
                 raise CliInputError(f"receiver {idx + 1} has a non-array state")
             try:
-                vec = tuple(parse_rational(x) for x in state)
+                states.append(tuple(parse_rational(x) for x in state))
             except (ValueError, TypeError) as exc:
                 raise CliInputError(f"receiver {idx + 1}: {exc}") from None
-            if vec not in states:
-                states.append(vec)
-        receivers.append(tuple(states))
+        receivers.append(_distinct(states))
     return CompoundChannel(doc["K"], tuple(receivers))
 
 
@@ -427,6 +427,8 @@ def _parse_p_list(args) -> list[float]:
         raise CliInputError(f"bad --P: {args.P!r}") from None
     if any(p <= 1 for p in powers):
         raise CliInputError("all --P values must exceed 1")
+    if not all(map(math.isfinite, powers)):
+        raise CliInputError("all --P values must be finite")
     return powers
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .channel import CompoundChannel, RegularChannel, regular_counterpart, validate
-from .rationals import parse_rational, render_rational
+from .channel import regular_counterpart, validate
+from .rationals import gdof_tuple, render_rational
 
 U = "u"
 Vertex = Union[str, tuple[int, int]]
@@ -56,46 +56,34 @@ class ShortestPathResult:
     cycle_length: Fraction | None
 
 
-def _check_target(channel: CompoundChannel, d) -> tuple[Fraction, ...]:
-    target = tuple(parse_rational(x) for x in d)
-    if len(target) != channel.K:
-        raise ValueError(
-            f"target has {len(target)} entries, channel has {channel.K} users")
-    if any(x < 0 for x in target):
-        raise ValueError("GDoF targets must be non-negative")
-    return target
-
-
 def build_full(channel, d) -> PotentialGraph:
     """Graph over every (user, state) pair. Cost grows with state counts, so
     production paths prefer :func:`build_reduced`; this one serves diagnostics
     and equivalence tests."""
-    if isinstance(channel, RegularChannel):
-        channel = channel.channel
     validate(channel)
-    target = _check_target(channel, d)
-    K = channel.K
+    target = gdof_tuple(d, channel.K)
+    K, receivers = channel.K, channel.receivers
     vertices: list[Vertex] = [
-        (k, l) for k in range(K) for l in range(len(channel.receivers[k]))]
+        (k, l) for k in range(K) for l in range(len(receivers[k]))]
     vertices.append(U)
     edges: list[tuple[Vertex, Vertex, Fraction]] = []
     for k in range(K):
-        for l in range(len(channel.receivers[k])):
-            for l2 in range(len(channel.receivers[k])):
+        for l in range(len(receivers[k])):
+            for l2 in range(len(receivers[k])):
                 if l2 != l:
                     edges.append(((k, l), (k, l2), ZERO))
     for k in range(K):
-        for l, vec in enumerate(channel.receivers[k]):
+        for l, vec in enumerate(receivers[k]):
             for j in range(K):
                 if j == k:
                     continue
-                for lj in range(len(channel.receivers[j])):
+                for lj in range(len(receivers[j])):
                     edges.append(((k, l), (j, lj), vec[k] - vec[j] - target[k]))
     for k in range(K):
-        for l, vec in enumerate(channel.receivers[k]):
+        for l, vec in enumerate(receivers[k]):
             edges.append(((k, l), U, vec[k] - target[k]))
     for k in range(K):
-        for l in range(len(channel.receivers[k])):
+        for l in range(len(receivers[k])):
             edges.append((U, (k, l), ZERO))
     return PotentialGraph(K, tuple(vertices), tuple(edges))
 
@@ -106,9 +94,7 @@ def build_reduced(channel, d) -> PotentialGraph:
     Feasibility and every shortest-path length from ``u`` agree exactly with
     the full graph, at a cost independent of the state counts.
     """
-    if isinstance(channel, RegularChannel):
-        channel = channel.channel
-    return build_full(regular_counterpart(channel).channel, d)
+    return build_full(regular_counterpart(channel), d)
 
 
 def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:

@@ -6,11 +6,10 @@ tolerance, which is what makes simultaneous user fixing well defined.
 
 Three controls are provided. The synchronous fixed-point iteration (gsfpc)
 converges to a locally optimal allocation from the shortest-path start. The
-K-update scheme (ggpc, single-state channels) lowers all still-active users
-by the largest uniform amount that keeps every target met, freezes the users
-that hit their limit, and terminates with the unique componentwise-minimal
-achieving allocation; ggpc_compound is the same scheme with a worst-state
-inner minimum, applicable to any channel.
+K-update scheme (ggpc) lowers all still-active users by the largest uniform
+amount that keeps every target met, freezes the users that hit their limit,
+and terminates with the unique componentwise-minimal achieving allocation; on
+a multi-state channel each user's margin takes its worst state.
 """
 
 from __future__ import annotations
@@ -21,14 +20,7 @@ from math import lcm
 
 import numpy as np
 
-from .channel import (
-    CompoundChannel,
-    RegularChannel,
-    is_regular,
-    regular_counterpart,
-    subnetwork,
-    validate,
-)
+from .channel import is_regular, regular_counterpart, subnetwork, validate
 from .errors import (
     GuardExceededError,
     InfeasibleTargetError,
@@ -36,8 +28,7 @@ from .errors import (
     PolyhedralViolationError,
 )
 from .potential import build_reduced, shortest_paths
-from .rationals import parse_rational
-from .region import gdof_tuple
+from .rationals import gdof_tuple, parse_rational, power_exponents
 
 ZERO = Fraction(0)
 
@@ -46,56 +37,40 @@ ORACLE_MAX_POINTS = 2_000_000
 ORACLE_MAX_SCALED = 1 << 40  # keeps int64 grid arithmetic overflow-free
 
 
-def power_exponents(values, K: int | None = None) -> tuple[Fraction, ...]:
-    """Coerce and validate a power exponent vector (entries <= 0)."""
-    r = tuple(parse_rational(x) for x in values)
-    if K is not None and len(r) != K:
-        raise ValueError(f"expected {K} exponents, got {len(r)}")
-    for x in r:
-        if x > 0:
-            raise ValueError(f"power exponents must be <= 0, got {x}")
-    return r
-
-
-def _unwrap(channel) -> CompoundChannel:
-    return channel.channel if isinstance(channel, RegularChannel) else channel
-
-
-def _interference(vec, r, k) -> Fraction:
-    """Clamped strongest interference term at one receiver state."""
+def _rate_exponent(vec, r, k) -> Fraction:
+    """User k's TIN rate expression at one receiver state: its signal level
+    minus the strongest interference level, taken as at least the noise
+    level 0."""
     worst = max((vec[j] + r[j] for j in range(len(r)) if j != k), default=ZERO)
-    return max(worst, ZERO)
+    return vec[k] + r[k] - max(worst, ZERO)
+
+
+def _worst_state(channel, r, k) -> Fraction:
+    """User k's TIN rate expression in its worst receiver state."""
+    return min(_rate_exponent(vec, r, k) for vec in channel.receivers[k])
 
 
 def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
     """Per-user GDoF when all interference is treated as noise, worst state."""
-    channel = _unwrap(channel)
     validate(channel)
     r = power_exponents(r, channel.K)
-    out = []
-    for k, states in enumerate(channel.receivers):
-        value = min(vec[k] + r[k] - _interference(vec, r, k) for vec in states)
-        out.append(max(value, ZERO))
-    return tuple(out)
+    return tuple(max(_worst_state(channel, r, k), ZERO) for k in range(channel.K))
 
 
 def achieved_gdof_polyhedral(channel, r) -> tuple[Fraction, ...]:
     """Unclamped variant; raises when some user's rate expression is negative
     (the allocation lies outside the polyhedral-valid set)."""
-    channel = _unwrap(channel)
     validate(channel)
     r = power_exponents(r, channel.K)
-    out = []
-    for k, states in enumerate(channel.receivers):
-        value, state = min(
-            (vec[k] + r[k] - _interference(vec, r, k), l)
-            for l, vec in enumerate(states))
+    out = tuple(_worst_state(channel, r, k) for k in range(channel.K))
+    for k, value in enumerate(out):
         if value < 0:
+            state = next(l for l, vec in enumerate(channel.receivers[k])
+                         if _rate_exponent(vec, r, k) == value)
             raise PolyhedralViolationError(
                 f"user {k} state {state} has negative rate expression {value}",
                 user=k, state=state)
-        out.append(value)
-    return tuple(out)
+    return out
 
 
 def _require_positive(d) -> None:
@@ -134,7 +109,6 @@ def gsfpc(channel, d) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     iterates decrease and reach an exact fixed point, which is locally optimal
     and dominates every local optimum below the start.
     """
-    channel = _unwrap(channel)
     validate(channel)
     d = gdof_tuple(d, channel.K)
     _require_positive(d)
@@ -142,8 +116,7 @@ def gsfpc(channel, d) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     iterates = [r]
     for n in range(GSFPC_MAX_ITERATIONS):
         nxt = tuple(
-            d[k] - min(vec[k] - _interference(vec, r, k) for vec in states)
-            for k, states in enumerate(channel.receivers))
+            r[k] + d[k] - _worst_state(channel, r, k) for k in range(channel.K))
         iterates.append(nxt)
         if nxt == r:
             return nxt, GsfpcTrace(tuple(iterates), True, n + 1)
@@ -171,7 +144,17 @@ class GgpcTrace:
     updates: tuple[GgpcUpdate, ...]
 
 
-def _ggpc_core(channel: CompoundChannel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
+def ggpc(channel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
+    """K-update control (Nash/global optimum).
+
+    Every update applies the largest uniform power reduction that keeps all
+    still-active users at or above target, then freezes the whole argmin set.
+    Terminates within K updates; each frozen user achieves its target exactly
+    from the moment it is fixed. On a multi-state channel each user's margin
+    takes its worst state, so every user ends with at least one state meeting
+    its target exactly; the output equals ggpc on the regular counterpart.
+    """
+    validate(channel)
     d = gdof_tuple(d, channel.K)
     _require_positive(d)
     r0 = _initial_allocation(channel, d)
@@ -198,48 +181,16 @@ def _ggpc_core(channel: CompoundChannel, d) -> tuple[tuple[Fraction, ...], GgpcT
     return tuple(r), GgpcTrace(r0, tuple(updates))
 
 
-def ggpc(channel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
-    """K-update control for single-state channels (Nash/global optimum).
-
-    Every update applies the largest uniform power reduction that keeps all
-    still-active users at or above target, then freezes the whole argmin set.
-    Terminates within K updates; each frozen user achieves its target exactly
-    from the moment it is fixed.
-    """
-    channel = _unwrap(channel)
-    validate(channel)
-    if not is_regular(channel):
-        raise ValueError(
-            "ggpc requires a single-state channel; use ggpc_compound or the "
-            "regular counterpart")
-    return _ggpc_core(channel, d)
-
-
-def ggpc_compound(channel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
-    """Compound variant of :func:`ggpc`: each user's margin takes the worst
-    state. At termination every user has at least one state meeting its target
-    exactly; the output equals ggpc on the regular counterpart."""
-    channel = _unwrap(channel)
-    validate(channel)
-    return _ggpc_core(channel, d)
-
-
 def locally_optimal(channel, r, d) -> bool:
     """True iff no user can unilaterally lower its exponent and keep its
     target: each r_k must equal its closed-form unilateral minimum."""
-    channel = _unwrap(channel)
     validate(channel)
     r = power_exponents(r, channel.K)
     d = gdof_tuple(d, channel.K)
     achieved = achieved_gdof(channel, r)
     if any(a < t for a, t in zip(achieved, d)):
         raise ValueError("allocation does not achieve the target tuple")
-    for k, states in enumerate(channel.receivers):
-        unilateral = d[k] - min(
-            vec[k] - _interference(vec, r, k) for vec in states)
-        if r[k] != unilateral:
-            return False
-    return True
+    return all(_worst_state(channel, r, k) == d[k] for k in range(channel.K))
 
 
 def _scaled_int(value: Fraction, scale: int) -> int:
@@ -257,7 +208,6 @@ def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
     arrays, so it is both fast and free of rounding. Intended for small K and
     coarse grids; guarded on grid size and scale.
     """
-    channel = _unwrap(channel)
     validate(channel)
     r = power_exponents(r, channel.K)
     d = gdof_tuple(d, channel.K)
@@ -345,11 +295,10 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
 
     "sp" returns the shortest-path allocation itself. "ggpc" on a multi-state
     channel routes through the regular counterpart (flagged in the result);
-    "ggpc-c" runs the compound update directly.
+    "ggpc-c" runs the worst-state update on the channel itself.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    channel = _unwrap(channel)
     validate(channel)
     d = gdof_tuple(d, channel.K)
     active = [i for i, x in enumerate(d) if x > 0]
@@ -365,14 +314,11 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
         r_sub = _initial_allocation(sub, gdof_tuple(d_sub))
     elif algorithm == "gsfpc":
         r_sub, trace = gsfpc(sub, d_sub)
-    elif algorithm == "ggpc":
-        if is_regular(sub):
-            r_sub, trace = ggpc(sub, d_sub)
-        else:
-            via_counterpart = True
-            r_sub, trace = ggpc(regular_counterpart(sub), d_sub)
+    elif algorithm == "ggpc" and not is_regular(sub):
+        via_counterpart = True
+        r_sub, trace = ggpc(regular_counterpart(sub), d_sub)
     else:
-        r_sub, trace = ggpc_compound(sub, d_sub)
+        r_sub, trace = ggpc(sub, d_sub)
 
     allocation: list[Fraction | None] = [None] * channel.K
     for pos, user in enumerate(active):

@@ -2,7 +2,8 @@
 
 Exponents arrive as exact rationals and are converted to binary64 at this
 boundary only; logarithms are base 2 throughout. SINRs are evaluated in the
-log2 domain (max-factored sums), so large strength levels cannot overflow.
+log2 domain (max-factored sums), so large strength levels cannot overflow;
+levels whose bit count log2(P) * level leaves the float range are refused.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .channel import RegularChannel, validate
-from .power import achieved_gdof, power_exponents
+from .channel import validate
+from .power import achieved_gdof
+from .rationals import power_exponents
 
 _LN2 = math.log(2.0)
 
@@ -29,6 +31,18 @@ def _log2_sum_exp2(exponents: Sequence[float]) -> float:
     """log2 of a sum of powers of two, max-factored."""
     top = max(exponents)
     return top + math.log2(sum(2.0 ** (e - top) for e in exponents))
+
+
+def _state_rate(vec, r, k, log2p: float) -> float:
+    """User k's rate at one receiver state; ``OverflowError`` when a level
+    times log2 P leaves the float range."""
+    num_bits = float(vec[k] + r[k]) * log2p
+    noise_terms = [0.0] + [
+        float(vec[j] + r[j]) * log2p for j in range(len(r)) if j != k]
+    sinr_bits = num_bits - _log2_sum_exp2(noise_terms)
+    if not math.isfinite(sinr_bits):
+        raise OverflowError("rate exponent out of float range")
+    return _log2_1p_exp2(sinr_bits)
 
 
 @dataclass(frozen=True)
@@ -51,30 +65,25 @@ def rates(channel, r, P: float) -> RateReport:
     """Achievable per-user rates under the given power exponents.
 
     Each user's rate is limited by its worst state; interference powers are
-    summed (not maxed) in the SINR denominator.
+    summed (not maxed) in the SINR denominator. Raises ``ValueError`` when
+    P is not finite, or when a strength level is too large for the rates
+    to be finite floats.
     """
-    if isinstance(channel, RegularChannel):
-        channel = channel.channel
     validate(channel)
     r = power_exponents(r, channel.K)
     P = float(P)
-    if P <= 1:
-        raise ValueError("nominal power P must exceed 1")
+    if not 1 < P < math.inf:
+        raise ValueError("nominal power P must be finite and exceed 1")
     log2p = math.log2(P)
 
-    per_user = []
-    for k, states in enumerate(channel.receivers):
-        worst = None
-        for vec in states:
-            num_bits = float(vec[k] + r[k]) * log2p
-            noise_terms = [0.0] + [
-                float(vec[j] + r[j]) * log2p
-                for j in range(channel.K) if j != k]
-            rate = _log2_1p_exp2(num_bits - _log2_sum_exp2(noise_terms))
-            worst = rate if worst is None else min(worst, rate)
-        per_user.append(worst)
-
-    total_power = sum(2.0 ** (float(x) * log2p) for x in r)
+    try:
+        per_user = [
+            min(_state_rate(vec, r, k, log2p) for vec in states)
+            for k, states in enumerate(channel.receivers)]
+        total_power = sum(2.0 ** (float(x) * log2p) for x in r)
+    except OverflowError:
+        raise ValueError(
+            f"strength levels too large for finite rates at P={P:g}") from None
     sum_rate = sum(per_user)
     return RateReport(
         P=P,
@@ -92,8 +101,6 @@ def sweep(channel, allocations, P_list) -> list[tuple[str, RateReport]]:
     ``allocations`` is a sequence of (name, exponent vector) pairs. Rows are
     sorted by (allocation name, P).
     """
-    if isinstance(channel, RegularChannel):
-        channel = channel.channel
     validate(channel)
     rows = []
     named = list(allocations) + [("full_power", (Fraction(0),) * channel.K)]
@@ -117,8 +124,8 @@ class GdofLimitResult:
 def gdof_limit_check(channel, r, P_list) -> GdofLimitResult:
     """Normalized-rate sequences for an increasing list of powers."""
     powers = [float(p) for p in P_list]
-    if any(p <= 1 for p in powers):
-        raise ValueError("all powers must exceed 1")
+    if not all(1 < p < math.inf for p in powers):
+        raise ValueError("all powers must be finite and exceed 1")
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValueError("P_list must be strictly increasing")
     normalized = []

@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from .channel import CompoundChannel, RegularChannel, regular_counterpart, subnetwork
+from .channel import CompoundChannel, regular_counterpart, subnetwork
 from .errors import EmptyRegionError, GuardExceededError
-from .rationals import parse_rational, render_rational
+from .rationals import gdof_tuple, render_rational
 
 # Cyclic-sequence counts grow super-exponentially; beyond this the graph
 # route remains the documented feasibility test.
@@ -24,17 +24,6 @@ CYCLE_GUARD_K = 10
 VERTEX_ENUM_LIMIT = 400_000
 
 ZERO = Fraction(0)
-
-
-def gdof_tuple(values, K: int | None = None) -> tuple[Fraction, ...]:
-    """Coerce and validate a GDoF tuple: non-negative exact rationals."""
-    d = tuple(parse_rational(x) for x in values)
-    if K is not None and len(d) != K:
-        raise ValueError(f"expected {K} GDoF entries, got {len(d)}")
-    for x in d:
-        if x < 0:
-            raise ValueError(f"GDoF values must be non-negative, got {x}")
-    return d
 
 
 @dataclass(frozen=True)
@@ -92,14 +81,12 @@ def enumerate_cycles(K: int) -> list[tuple[int, ...]]:
     return out
 
 
-def region_constraints(channel: CompoundChannel | RegularChannel) -> RegionConstraints:
+def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     """Inequality description of the region with every user active.
 
     One upper bound per user plus one bound per cyclic sequence, evaluated on
     the regular counterpart. Exactly coinciding inequalities are merged.
     """
-    if isinstance(channel, RegularChannel):
-        channel = channel.channel
     a = regular_counterpart(channel).matrix
     K = channel.K
     raw = [Constraint((i,), a[i][i]) for i in range(K)]

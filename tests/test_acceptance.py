@@ -150,7 +150,7 @@ def test_criterion_4_equivalence_properties():
         d = feasible_grid_target(rng, ch)
         if d is not None:
             counterpart_targets += 1
-            r_c, _ = tp.ggpc_compound(ch, d)
+            r_c, _ = tp.ggpc(ch, d)
             r_r, _ = tp.ggpc(cp, d)
             if r_c != r_r:
                 failures.append(f"instance {idx}: control outputs differ on {d}")
@@ -177,7 +177,7 @@ def test_criterion_5_global_optimality_oracle():
         if d is None:
             continue
         confirmed += 1
-        r_c, _ = tp.ggpc_compound(ch, d)
+        r_c, _ = tp.ggpc(ch, d)
         r_r, _ = tp.ggpc(tp.regular_counterpart(ch), d)
         if r_c != r_r:
             failures.append(f"control outputs differ on {d}")
@@ -254,7 +254,7 @@ def test_criterion_8_fixed_point_behavior():
                 break
         if not tp.locally_optimal(ch, r_fix, d):
             failures.append(f"{d}: fixed point not locally optimal")
-        r_min, _ = tp.ggpc_compound(ch, d)
+        r_min, _ = tp.ggpc(ch, d)
         if not all(x >= y for x, y in zip(r_fix, r_min)):
             failures.append(f"{d}: fixed point below the global optimum")
         if len(failures) > 5:

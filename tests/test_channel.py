@@ -217,3 +217,51 @@ def test_regular_channel_rejects_multi_state(comp2):
 def test_render_parse_round_trip(values):
     for q in values:
         assert tp.parse_rational(tp.render_rational(q)) == q
+
+
+MIX3_MATRIX = [["2", "0.4", "1"], ["0.5", "1", "0.5"], ["0.4", "0.5", "1.5"]]
+MIX3_TARGET = ["0.5", "0.6", "0.7"]
+
+
+def _ggpc_allocation(ch):
+    return tp.ggpc(ch, MIX3_TARGET)[0]
+
+
+CHANNEL_CALLS = {
+    "validate": tp.validate,
+    "is_regular": tp.is_regular,
+    "tin_optimal": tp.tin_optimal,
+    "regular_counterpart": tp.regular_counterpart,
+    "subnetwork": lambda ch: tp.subnetwork(ch, [0, 2]),
+    "build_full": lambda ch: tp.build_full(ch, MIX3_TARGET),
+    "build_reduced": lambda ch: tp.build_reduced(ch, MIX3_TARGET),
+    "region_constraints": tp.region_constraints,
+    "member": lambda ch: tp.member(ch, MIX3_TARGET),
+    "member_star": lambda ch: tp.member_star(ch, ["0.5", "0", "0.7"]),
+    "pareto": lambda ch: tp.pareto(ch, MIX3_TARGET),
+    "sum_gdof": tp.sum_gdof,
+    "symmetric_gdof": tp.symmetric_gdof,
+    "achieved_gdof": lambda ch: tp.achieved_gdof(ch, ["-0.1", "0", "-0.2"]),
+    "achieved_gdof_polyhedral":
+        lambda ch: tp.achieved_gdof_polyhedral(ch, _ggpc_allocation(ch)),
+    "gsfpc": lambda ch: tp.gsfpc(ch, MIX3_TARGET),
+    "ggpc": lambda ch: tp.ggpc(ch, MIX3_TARGET),
+    "locally_optimal":
+        lambda ch: tp.locally_optimal(ch, _ggpc_allocation(ch), MIX3_TARGET),
+    "oracle_globally_optimal": lambda ch: tp.oracle_globally_optimal(
+        ch, _ggpc_allocation(ch), MIX3_TARGET, "0.1", "-1"),
+    "solve_power": lambda ch: [
+        tp.solve_power(ch, ["0.5", "0", "0.7"], alg)
+        for alg in ("sp", "gsfpc", "ggpc", "ggpc-c")],
+    "rates": lambda ch: tp.rates(ch, ["-0.1", "0", "-0.2"], 100),
+    "sweep": lambda ch: tp.sweep(ch, [("x", ["-0.1", "0", "-0.2"])], [10, 100]),
+    "gdof_limit_check":
+        lambda ch: tp.gdof_limit_check(ch, ["-0.1", "0", "-0.2"], [10, 100]),
+}
+
+
+@pytest.mark.parametrize("name", CHANNEL_CALLS)
+def test_regular_channel_reads_as_its_channel(name):
+    call = CHANNEL_CALLS[name]
+    reg = tp.RegularChannel.from_matrix(MIX3_MATRIX)
+    assert call(reg) == call(reg.channel)

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 import tinpower as tp
 from tinpower.cli import main
 
@@ -322,3 +324,24 @@ def test_rates_requires_alloc_or_alg(capsys):
     code, _, err = run(
         capsys, "rates", "--channel", str(CHANNELS / "asym3.json"), "--P", "1000")
     assert code == 2
+
+
+@pytest.mark.parametrize("command, strength, flags", [
+    ("validate", float("inf"), []),     # JSON Infinity
+    ("validate", float("nan"), []),     # JSON NaN
+    ("validate", "inf", []),
+    ("validate", "1/0", []),
+    ("validate", "1e1000000", []),      # exponent beyond the parse limit
+    ("feasible", "2", ["--target", "1/0,0.5"]),
+    ("rates", "1e400", ["--alloc=-0.1,-0.1", "--P", "10"]),
+    ("rates", "2", ["--alloc=-0.1,-0.1", "--P", "1e400"]),
+    ("rates", "2", ["--alloc=-0.1,-0.1", "--P", "nan"]),
+])
+def test_hostile_numbers_exit_2(tmp_path, capsys, command, strength, flags):
+    path = write(tmp_path, "hostile.json", {
+        "K": 2,
+        "receivers": [{"states": [[strength, "0.5"]]}, {"states": [["0.5", "1"]]}],
+    })
+    code, _, err = run(capsys, command, "--channel", path, *flags)
+    assert code == 2
+    assert "Traceback" not in err

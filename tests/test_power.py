@@ -124,13 +124,8 @@ def test_ggpc_zero_delta_update(asym3):
         assert u.achieved == (F(1), F(1), F(1))
 
 
-def test_ggpc_requires_single_state(comp2):
-    with pytest.raises(ValueError):
-        tp.ggpc(comp2, ["0.5", "0.5"])
-
-
 def test_ggpc_compound_two_state(comp2):
-    r, trace = tp.ggpc_compound(comp2, ["0.5", "0.5"])
+    r, trace = tp.ggpc(comp2, ["0.5", "0.5"])
     assert r == (F("-0.3"), F("-0.3"))
     assert [u.delta for u in trace.updates] == [F("0.3"), F(0)]
     assert [u.fixed for u in trace.updates] == [(0,), (1,)]
@@ -141,13 +136,13 @@ def test_ggpc_compound_two_state(comp2):
 
 
 def test_ggpc_compound_equals_counterpart_route(comp2):
-    direct, _ = tp.ggpc_compound(comp2, ["0.5", "0.5"])
+    direct, _ = tp.ggpc(comp2, ["0.5", "0.5"])
     via, _ = tp.ggpc(tp.regular_counterpart(comp2), ["0.5", "0.5"])
     assert direct == via
 
 
 def test_ggpc_compound_collapses_on_regular(mix3):
-    a, _ = tp.ggpc_compound(mix3, ["0.5", "0.6", "0.7"])
+    a, _ = tp.ggpc(mix3, ["0.5", "0.6", "0.7"])
     b, _ = tp.ggpc(mix3, ["0.5", "0.6", "0.7"])
     assert a == b
 
@@ -161,7 +156,7 @@ def test_ggpc_trace_invariants_random():
         if d is None:
             continue
         checked += 1
-        r, trace = tp.ggpc_compound(ch, d)
+        r, trace = tp.ggpc(ch, d)
         assert len(trace.updates) <= ch.K
         seen = []
         for u in trace.updates:
