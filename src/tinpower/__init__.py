@@ -49,6 +49,7 @@ from .rates import GdofLimitResult, RateReport, gdof_limit_check, rates, sweep
 from .region import (
     Constraint,
     RegionConstraints,
+    circuit_bound,
     enumerate_cycles,
     member,
     member_star,
@@ -56,6 +57,7 @@ from .region import (
     region_constraints,
     sum_gdof,
     symmetric_gdof,
+    tight_users,
 )
 from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
 

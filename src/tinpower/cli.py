@@ -3,7 +3,8 @@
 Every invocation loads a JSON channel file, runs one command and prints a
 report (human text by default, machine JSON with --json; the two carry the
 same numbers). Exit codes: 0 success, 1 negative verdict on a yes/no query,
-2 input or parse problems, 3 internal cross-check failure.
+2 input or parse problems, 3 a verdict whose certificate failed its
+independent check.
 """
 
 from __future__ import annotations
@@ -42,7 +43,13 @@ from .power import (
 )
 from .rates import sweep
 from .rationals import gdof_tuple, parse_rational, render_rational
-from .region import member, pareto, region_constraints, sum_gdof, symmetric_gdof
+from .region import (
+    circuit_bound,
+    region_constraints,
+    sum_gdof,
+    symmetric_gdof,
+    tight_users,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -237,32 +244,39 @@ def cmd_counterpart(args) -> int:
     return EXIT_OK
 
 
+def _check_failure(message: str) -> int:
+    print(f"internal check failure: {message}", file=sys.stderr)
+    return EXIT_INTERNAL
+
+
 def cmd_feasible(args) -> int:
     cf = load_channel_file(args.channel)
     d = _parse_target(args, cf.channel)
-    cons = region_constraints(cf.channel)
-    ok_ineq, violated = member(cf.channel, d, cons)
     sp = shortest_paths(build_reduced(cf.channel, d))
     if args.debug_graph:
         _dump_graphs(cf.channel, d)
-    if ok_ineq != sp.feasible:
-        print(
-            "internal cross-check failure: inequality route says "
-            f"{ok_ineq}, graph route says {sp.feasible}", file=sys.stderr)
-        return EXIT_INTERNAL
     data = {
         "command": "feasible",
         "channel": cf.name,
         "target": _render_vec(d),
         "feasible": sp.feasible,
-        "routes_agree": True,
     }
     if sp.feasible:
+        if any(a < t for a, t in zip(achieved_gdof(cf.channel, sp.l_dst), d)):
+            return _check_failure(
+                "the shortest-path allocation does not achieve the target")
         data["l_dst"] = _render_vec(sp.l_dst)
         text = (
             f"target ({', '.join(_render_vec(d))}): feasible; "
             f"shortest-path allocation ({', '.join(_render_vec(sp.l_dst))})")
     else:
+        # the circuit names the cycle; its bound is evaluated on the
+        # counterpart matrix, independently of the graph's edge lengths
+        violated = circuit_bound(cf.channel, sp.negative_cycle)
+        if violated.holds(d):
+            return _check_failure(
+                f"the target satisfies the circuit's bound "
+                f"{violated.export_line(cf.channel.K)}")
         data["violated_constraint"] = _constraint_data(violated, cf.channel.K)
         data["negative_cycle"] = _cycle_data(sp)
         text = (
@@ -305,30 +319,29 @@ def cmd_region(args) -> int:
 def cmd_pareto(args) -> int:
     cf = load_channel_file(args.channel)
     d = _parse_target(args, cf.channel)
-    cons = region_constraints(cf.channel)
-    ok, violated = member(cf.channel, d, cons)
+    K = cf.channel.K
+    graph = build_reduced(cf.channel, d)
+    sp = shortest_paths(graph)
     data = {
         "command": "pareto",
         "channel": cf.name,
         "target": _render_vec(d),
-        "member": ok,
+        "member": sp.feasible,
     }
-    if not ok:
+    if not sp.feasible:
+        violated = circuit_bound(cf.channel, sp.negative_cycle)
         data["pareto"] = False
-        data["violated_constraint"] = _constraint_data(violated, cons.K)
+        data["violated_constraint"] = _constraint_data(violated, K)
         Report(data, f"not in the region: violates "
-                     f"{violated.export_line(cons.K)}").emit(args.json)
+                     f"{violated.export_line(K)}").emit(args.json)
         return EXIT_NEGATIVE
-    is_pareto = pareto(cf.channel, d, cons)
+    tight = tight_users(graph, sp)
+    is_pareto = len(tight) == K
     data["pareto"] = is_pareto
     if is_pareto:
         text = "member: yes; Pareto-optimal: yes"
     else:
-        tight = set()
-        for c in cons.constraints:
-            if c.slack(d) == 0:
-                tight.update(c.users)
-        improvable = [k for k in range(cons.K) if k not in tight]
+        improvable = [k for k in range(K) if k not in tight]
         data["improvable_users"] = _users(improvable)
         text = (f"member: yes; Pareto-optimal: no — users "
                 f"{_users(improvable)} can still be increased")
@@ -486,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate": (cmd_validate, "check a channel file"),
         "tin-check": (cmd_tin_check, "test the weak-interference condition"),
         "counterpart": (cmd_counterpart, "emit the single-state counterpart"),
-        "feasible": (cmd_feasible, "test a GDoF target (both routes)"),
+        "feasible": (cmd_feasible, "test a GDoF target"),
         "region": (cmd_region, "export the region inequalities"),
         "pareto": (cmd_pareto, "test Pareto optimality of a target"),
         "power": (cmd_power, "compute a power allocation"),

@@ -226,7 +226,8 @@ def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
         i += 1
     if len(levels) ** K > ORACLE_MAX_POINTS:
         raise GuardExceededError(
-            f"grid of {len(levels)}^{K} points exceeds the search guard")
+            f"grid of {len(levels)}^{K} = {len(levels) ** K} points exceeds "
+            f"the search guard of {ORACLE_MAX_POINTS}")
 
     denoms = [step.denominator]
     denoms += [x.denominator for x in r] + [x.denominator for x in d]
@@ -237,8 +238,11 @@ def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
     alpha = [
         [[_scaled_int(x, scale) for x in vec] for vec in states]
         for states in channel.receivers]
-    if max(abs(v) for row in alpha for vec in row for v in vec) > ORACLE_MAX_SCALED:
-        raise GuardExceededError("scaled strengths exceed the integer guard")
+    magnitude = max(abs(v) for row in alpha for vec in row for v in vec)
+    if magnitude > ORACLE_MAX_SCALED:
+        raise GuardExceededError(
+            f"scaled strength magnitude {magnitude} exceeds the integer guard "
+            f"of {ORACLE_MAX_SCALED}")
 
     grid = np.array([_scaled_int(v, scale) for v in levels], dtype=np.int64)
     axes = [

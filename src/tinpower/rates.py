@@ -66,8 +66,8 @@ def rates(channel, r, P: float) -> RateReport:
 
     Each user's rate is limited by its worst state; interference powers are
     summed (not maxed) in the SINR denominator. Raises ``ValueError`` when
-    P is not finite, or when a strength level is too large for the rates
-    to be finite floats.
+    P is not finite, when a strength level is too large for the rates
+    to be finite floats, or when the total transmit power underflows to 0.
     """
     validate(channel)
     r = power_exponents(r, channel.K)
@@ -84,6 +84,10 @@ def rates(channel, r, P: float) -> RateReport:
     except OverflowError:
         raise ValueError(
             f"strength levels too large for finite rates at P={P:g}") from None
+    if total_power == 0.0:
+        raise ValueError(
+            f"total transmit power underflows to 0 at P={P:g}; "
+            "exponents too negative for a finite efficiency")
     sum_rate = sum(per_user)
     return RateReport(
         P=P,

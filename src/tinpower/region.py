@@ -2,7 +2,10 @@
 
 The region with all users active is cut out by per-user upper bounds plus one
 sum bound per cyclic sequence of users; state uncertainty collapses through
-the regular counterpart. Everything here is exact rational arithmetic.
+the regular counterpart. Yes/no questions (membership, Pareto optimality) are
+decided on the reduced potential graph, whose circuits are exactly these
+bounds; the enumerated list serves the export and the optima. Everything here
+is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -14,10 +17,17 @@ from math import comb
 
 from .channel import CompoundChannel, regular_counterpart, subnetwork
 from .errors import EmptyRegionError, GuardExceededError
+from .potential import (
+    U,
+    PotentialGraph,
+    ShortestPathResult,
+    build_reduced,
+    shortest_paths,
+)
 from .rationals import gdof_tuple, render_rational
 
-# Cyclic-sequence counts grow super-exponentially; beyond this the graph
-# route remains the documented feasibility test.
+# Cyclic-sequence counts grow super-exponentially; beyond this only the graph
+# route (membership, Pareto) answers.
 CYCLE_GUARD_K = 10
 
 # Cap on the active-set combinations scanned by sum_gdof.
@@ -81,6 +91,18 @@ def enumerate_cycles(K: int) -> list[tuple[int, ...]]:
     return out
 
 
+def cycle_bound(a, cycle) -> Constraint:
+    """The region bound of one cyclic sequence on the counterpart matrix
+    ``a``; a single user gives that user's per-user bound."""
+    m = len(cycle)
+    if m == 1:
+        return Constraint(tuple(cycle), a[cycle[0]][cycle[0]])
+    rhs = sum(
+        (a[cycle[i]][cycle[i]] - a[cycle[i]][cycle[(i + 1) % m]] for i in range(m)),
+        start=ZERO)
+    return Constraint(tuple(sorted(cycle)), rhs, cycle=tuple(cycle))
+
+
 def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     """Inequality description of the region with every user active.
 
@@ -89,13 +111,8 @@ def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     """
     a = regular_counterpart(channel).matrix
     K = channel.K
-    raw = [Constraint((i,), a[i][i]) for i in range(K)]
-    for cyc in enumerate_cycles(K):
-        m = len(cyc)
-        rhs = sum(
-            (a[cyc[i]][cyc[i]] - a[cyc[i]][cyc[(i + 1) % m]] for i in range(m)),
-            start=ZERO)
-        raw.append(Constraint(tuple(sorted(cyc)), rhs, cycle=cyc))
+    raw = [cycle_bound(a, (i,)) for i in range(K)]
+    raw += [cycle_bound(a, cyc) for cyc in enumerate_cycles(K)]
     seen: set[tuple[tuple[int, ...], Fraction]] = set()
     unique = []
     for c in raw:
@@ -107,12 +124,38 @@ def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     return RegionConstraints(K, tuple(unique))
 
 
+def circuit_bound(channel, circuit) -> Constraint:
+    """The region bound that a negative circuit of ``build_reduced(channel,
+    d)`` shows ``d`` to violate.
+
+    The circuit's users, in circuit order and rotated to start at the
+    smallest, form that bound's cyclic sequence: a circuit over users alone
+    is as long as the bound's right-hand side minus their targets. A circuit
+    through ``u`` is at least as long as the cycle that closes it (cross
+    strengths are >= 0), so that cycle is violated too; ``u -> k -> u``
+    gives k's per-user bound.
+    """
+    users = [v[0] for v in circuit if v != U]
+    first = users.index(min(users))
+    return cycle_bound(regular_counterpart(channel).matrix,
+                       users[first:] + users[:first])
+
+
 def member(channel, d, constraints: RegionConstraints | None = None,
            ) -> tuple[bool, Constraint | None]:
-    """Region membership; on failure also returns one violated inequality."""
-    cons = constraints if constraints is not None else region_constraints(channel)
-    target = gdof_tuple(d, cons.K)
-    for c in cons.constraints:
+    """Region membership; on failure also returns one violated inequality.
+
+    Decided by Bellman-Ford on the reduced potential graph, whose negative
+    circuit names the violated bound. An explicit ``constraints`` list is
+    scanned instead, in order (the enumeration reference).
+    """
+    if constraints is None:
+        sp = shortest_paths(build_reduced(channel, d))
+        if sp.feasible:
+            return True, None
+        return False, circuit_bound(channel, sp.negative_cycle)
+    target = gdof_tuple(d, constraints.K)
+    for c in constraints.constraints:
         if not c.holds(target):
             return False, c
     return True, None
@@ -134,20 +177,53 @@ def member_star(channel: CompoundChannel, d) -> bool:
     return ok
 
 
+def tight_users(graph: PotentialGraph, sp: ShortestPathResult) -> frozenset[int]:
+    """Users on some tight region bound at a feasible target: exactly the
+    users on a zero-length circuit of its potential graph.
+
+    Under the shortest-path potentials (``l[u] = 0``) every reduced edge
+    length ``w + l[s] - l[t]`` is >= 0 and a circuit's length is the sum of
+    its reduced lengths, so the zero-length circuits are the circuits of
+    zero-reduced edges. A vertex lies on one when it reaches itself in the
+    transitive closure of those edges (Warshall's algorithm on bit rows).
+    """
+    level = {v: ZERO if v == U else sp.l_dst[v[0]] for v in graph.vertices}
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    reach = [0] * len(graph.vertices)
+    for s, t, w in graph.edges:
+        if w + level[s] - level[t] == 0:
+            reach[index[s]] |= 1 << index[t]
+    for k in range(len(reach)):
+        for i in range(len(reach)):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    return frozenset(
+        v[0] for v, i in index.items() if v != U and reach[i] >> i & 1)
+
+
 def pareto(channel, d, constraints: RegionConstraints | None = None) -> bool:
     """True when no single coordinate can be increased while staying in the
-    region, i.e. every user participates in some tight constraint."""
-    cons = constraints if constraints is not None else region_constraints(channel)
-    target = gdof_tuple(d, cons.K)
-    ok, violated = member(channel, target, cons)
-    if not ok:
-        raise ValueError(
-            f"pareto requires a member tuple; violated: {violated.export_line(cons.K)}")
-    tight_users: set[int] = set()
-    for c in cons.constraints:
-        if c.slack(target) == 0:
-            tight_users.update(c.users)
-    return len(tight_users) == cons.K
+    region, i.e. every user participates in some tight constraint.
+
+    Decided on the reduced potential graph (:func:`tight_users`); an
+    explicit ``constraints`` list is scanned instead (the enumeration
+    reference).
+    """
+    if constraints is None:
+        graph = build_reduced(channel, d)
+        sp = shortest_paths(graph)
+        if sp.feasible:
+            return len(tight_users(graph, sp)) == channel.K
+        violated = circuit_bound(channel, sp.negative_cycle)
+    else:
+        target = gdof_tuple(d, constraints.K)
+        ok, violated = member(channel, target, constraints)
+        if ok:
+            tight = {u for c in constraints.constraints if c.slack(target) == 0
+                     for u in c.users}
+            return len(tight) == constraints.K
+    raise ValueError(
+        f"pareto requires a member tuple; violated: {violated.export_line(channel.K)}")
 
 
 def _solve_square(rows: list[tuple[tuple[Fraction, ...], Fraction]],
@@ -187,10 +263,12 @@ def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
         rows.append((tuple(Fraction(int(i in members)) for i in range(K)), c.rhs))
     for i in range(K):
         rows.append((tuple(Fraction(-int(j == i)) for j in range(K)), ZERO))
-    if comb(len(rows), K) > VERTEX_ENUM_LIMIT:
+    active_sets = comb(len(rows), K)
+    if active_sets > VERTEX_ENUM_LIMIT:
         raise GuardExceededError(
-            f"sum-GDoF active-set enumeration too large for K={K} "
-            f"({len(rows)} constraints)")
+            f"sum-GDoF active-set enumeration too large for K={K}: "
+            f"C({len(rows)}, {K}) = {active_sets} active sets, "
+            f"limit {VERTEX_ENUM_LIMIT}")
     best: tuple[Fraction, tuple[Fraction, ...]] | None = None
     for combo in combinations(range(len(rows)), K):
         point = _solve_square([rows[i] for i in combo])

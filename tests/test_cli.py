@@ -1,10 +1,12 @@
 import json
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import tinpower as tp
-from tinpower.cli import main
+from tinpower.cli import load_channel_file, main
 
 CHANNELS = Path(__file__).parent.parent / "channels"
 
@@ -106,7 +108,7 @@ def test_feasible_yes(capsys):
         "--target", "1,1,1", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["feasible"] is True and doc["routes_agree"] is True
+    assert doc["feasible"] is True and "routes_agree" not in doc
     assert doc["l_dst"] == ["-0.4", "-0.2", "0"]
 
 
@@ -249,16 +251,67 @@ def test_debug_graph_dump(capsys):
     assert any(len(line.split()) == 3 for line in err.splitlines())
 
 
-def test_route_disagreement_exits_3(capsys, monkeypatch):
-    # the two feasibility routes cannot disagree for real inputs, so force it
+def test_certificate_failure_exits_3(capsys, monkeypatch):
+    # Bellman-Ford cannot return a wrong verdict for real inputs, so force
+    # one: an allocation that misses the target, then a circuit whose bound
+    # the target satisfies
     import tinpower.cli as cli
 
-    monkeypatch.setattr(cli, "member", lambda ch, d, cons=None: (False, None))
-    code, _, err = run(
-        capsys, "feasible", "--channel", str(CHANNELS / "asym3.json"),
-        "--target", "1,1,1")
-    assert code == 3
-    assert "cross-check" in err
+    bogus = [
+        tp.ShortestPathResult(True, (F(-10),) * 3, None, None),
+        tp.ShortestPathResult(False, None, ((0, 0), (1, 0)), F(-1)),
+    ]
+    for sp in bogus:
+        monkeypatch.setattr(cli, "shortest_paths", lambda graph: sp)
+        code, out, err = run(
+            capsys, "feasible", "--channel", str(CHANNELS / "asym3.json"),
+            "--target", "1,1,1")
+        assert code == 3
+        assert out == ""
+        assert "internal check failure" in err
+
+
+def test_yes_no_commands_never_enumerate(capsys, monkeypatch):
+    import tinpower.region as region
+
+    def refuse(K):
+        raise AssertionError("cycle enumeration reached")
+
+    monkeypatch.setattr(region, "enumerate_cycles", refuse)
+    for name, inside, outside, frontier in [
+            ("mix3.json", "0.5,0.6,0.7", "2,1,1.5", "1.7,0.4,0.4"),
+            ("sym4.json", "0.5,0.5,0.5,0.5", "2,2,0,0", "1,1,1,1")]:
+        path = str(CHANNELS / name)
+        assert run(capsys, "feasible", "--channel", path, "--target", inside)[0] == 0
+        assert run(capsys, "feasible", "--channel", path, "--target", outside)[0] == 1
+        assert run(capsys, "pareto", "--channel", path, "--target", frontier)[0] == 0
+        assert run(capsys, "pareto", "--channel", path, "--target", inside)[0] == 1
+        assert run(capsys, "pareto", "--channel", path, "--target", outside)[0] == 1
+        ch = load_channel_file(path).channel
+        assert tp.member(ch, inside.split(","))[0]
+        assert not tp.member(ch, outside.split(","))[0]
+        assert not tp.member_star(ch, outside.split(","))
+
+
+def test_feasible_and_pareto_answer_past_the_enumeration_guard(tmp_path, capsys):
+    rng = random.Random(71)
+    K = 30
+    receivers = []
+    for k in range(K):
+        states = []
+        for _ in range(2):
+            vec = [str(F(rng.randint(0, 3), 10)) for _ in range(K)]
+            vec[k] = str(F(rng.randint(10, 20), 10))
+            states.append(vec)
+        receivers.append({"states": states})
+    path = write(tmp_path, "k30.json", {"K": K, "receivers": receivers})
+    for target in ("0.1", "0.5", "2"):
+        for command in ("feasible", "pareto"):
+            code, out, err = run(
+                capsys, command, "--channel", path,
+                "--target", ",".join([target] * K), "--json")
+            assert code in (0, 1), err
+            assert json.loads(out)[command] is (code == 0)
 
 
 def test_rates_csv_gap(capsys):
@@ -336,6 +389,7 @@ def test_rates_requires_alloc_or_alg(capsys):
     ("rates", "1e400", ["--alloc=-0.1,-0.1", "--P", "10"]),
     ("rates", "2", ["--alloc=-0.1,-0.1", "--P", "1e400"]),
     ("rates", "2", ["--alloc=-0.1,-0.1", "--P", "nan"]),
+    ("rates", "2", ["--alloc=-400,-400", "--P", "10"]),  # total power underflows
 ])
 def test_hostile_numbers_exit_2(tmp_path, capsys, command, strength, flags):
     path = write(tmp_path, "hostile.json", {

@@ -236,8 +236,15 @@ def test_oracle_single_user():
 
 def test_oracle_guard():
     ch = random_compound(random.Random(54), K=4)
-    with pytest.raises(tp.GuardExceededError):
+    with pytest.raises(tp.GuardExceededError) as exc:
         tp.oracle_globally_optimal(ch, [0, 0, 0, 0], [0, 0, 0, 0], "0.01", -10)
+    assert f"1001^4 = {1001 ** 4} points" in str(exc.value)
+    assert str(tp.power.ORACLE_MAX_POINTS) in str(exc.value)
+    huge = tp.CompoundChannel.from_lists([[[str(2 ** 41)]]])
+    with pytest.raises(tp.GuardExceededError) as exc:
+        tp.oracle_globally_optimal(huge, [0], [1], "1", -1)
+    assert str(2 ** 41) in str(exc.value)
+    assert str(tp.power.ORACLE_MAX_SCALED) in str(exc.value)
 
 
 def test_oracle_rejects_bad_parameters(mix3):

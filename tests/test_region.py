@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import comb
 
 import pytest
 
 import tinpower as tp
 
-from fixtures import grid_value, random_compound, single
+from fixtures import grid_value, pareto_target, random_compound, random_tin_optimal, single
 from oracles import grid_member_polyhedral
 
 
@@ -26,7 +27,7 @@ def test_enumerate_cycles_count_four_users():
 
 
 def test_enumerate_cycles_guard():
-    with pytest.raises(tp.GuardExceededError):
+    with pytest.raises(tp.GuardExceededError, match=r"K <= 10 \(got 11\)"):
         tp.enumerate_cycles(11)
 
 
@@ -214,9 +215,49 @@ def test_membership_matches_graph_feasibility_random():
     for _ in range(60):
         ch = random_compound(rng)
         d = [grid_value(rng, F(2)) for _ in range(ch.K)]
-        ok, _ = tp.member(ch, d)
+        ok, _ = tp.member(ch, d, tp.region_constraints(ch))
         sp = tp.shortest_paths(tp.build_reduced(ch, d))
         assert ok == sp.feasible
+
+
+def test_graph_verdicts_match_enumeration_seeded():
+    # the graph route (member, pareto, tight_users) against the enumerated
+    # inequality list on multi-state channels up to K = 7; direct strengths
+    # of 1 and cross strengths <= 1 keep every region non-empty
+    rng = random.Random(41)
+    for n in range(36):
+        ch = random_compound(rng, K=1 + n % 7, alpha_max=F(1), diag_min=F(1))
+        cons = tp.region_constraints(ch)
+        bounds = {(c.users, c.rhs) for c in cons.constraints}
+        targets = [[grid_value(rng, F("1.5")) for _ in range(ch.K)] for _ in range(6)]
+        targets += [[tp.symmetric_gdof(ch)] * ch.K, pareto_target(rng, ch)]
+        if ch.K <= 3 or n == 3:  # one K = 4 sum optimum: it takes seconds
+            targets.append(tp.sum_gdof(ch)[1])
+        for d in targets:
+            d = tp.gdof_tuple(d, ch.K)
+            ok, violated = tp.member(ch, d)
+            assert ok == tp.member(ch, d, cons)[0]
+            if not ok:
+                assert (violated.users, violated.rhs) in bounds
+                assert not violated.holds(d)
+                with pytest.raises(ValueError, match="requires a member tuple"):
+                    tp.pareto(ch, d)
+                continue
+            graph = tp.build_reduced(ch, d)
+            tight = tp.tight_users(graph, tp.shortest_paths(graph))
+            assert tight == {u for c in cons.constraints if c.slack(d) == 0
+                             for u in c.users}
+            assert tp.pareto(ch, d) == tp.pareto(ch, d, cons) == (len(tight) == ch.K)
+
+
+def test_sum_gdof_guard_states_size_and_limit():
+    rng = random.Random(42)
+    ch = random_tin_optimal(rng, K=5)
+    rows = len(tp.region_constraints(ch).constraints) + 5
+    with pytest.raises(tp.GuardExceededError) as exc:
+        tp.sum_gdof(ch)
+    assert f"C({rows}, 5) = {comb(rows, 5)}" in str(exc.value)
+    assert str(tp.region.VERTEX_ENUM_LIMIT) in str(exc.value)
 
 
 # Completeness of the grid oracle needs every feasible target to have a grid
