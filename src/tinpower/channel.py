@@ -103,7 +103,7 @@ def validate(channel: CompoundChannel) -> None:
     the modeler's job upstream, and doing it silently here would hide data
     errors.
     """
-    if not isinstance(channel.K, int) or channel.K < 1:
+    if isinstance(channel.K, bool) or not isinstance(channel.K, int) or channel.K < 1:
         raise ChannelValidationError("user count must be a positive integer")
     if len(channel.receivers) != channel.K:
         raise ChannelValidationError(

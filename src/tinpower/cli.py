@@ -83,7 +83,7 @@ def _parse_channel_doc(doc) -> CompoundChannel:
     for key in ("K", "receivers"):
         if key not in doc:
             raise CliInputError(f'channel document is missing "{key}"')
-    if not isinstance(doc["K"], int):
+    if isinstance(doc["K"], bool) or not isinstance(doc["K"], int):
         raise CliInputError('"K" must be an integer')
     if not isinstance(doc["receivers"], list):
         raise CliInputError('"receivers" must be an array')
@@ -91,6 +91,8 @@ def _parse_channel_doc(doc) -> CompoundChannel:
     for idx, rx in enumerate(doc["receivers"]):
         if not isinstance(rx, dict) or "states" not in rx:
             raise CliInputError(f'receiver {idx + 1} must be an object with "states"')
+        if not isinstance(rx["states"], list):
+            raise CliInputError(f'receiver {idx + 1}: "states" must be an array')
         states = []
         for state in rx["states"]:
             if not isinstance(state, list):
@@ -120,11 +122,16 @@ def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFil
             validate(channel)
         except ChannelValidationError as exc:
             raise CliInputError(f"{path}: invalid channel: {exc}") from None
+    raw_targets = doc.get("targets", [])
+    if not isinstance(raw_targets, list):
+        raise CliInputError(f'{path}: "targets" must be an array')
     targets = []
-    for raw in doc.get("targets", []):
+    for raw in raw_targets:
+        if not isinstance(raw, list):
+            raise CliInputError(f"{path}: bad target {raw}: not an array")
         try:
             targets.append(gdof_tuple(raw, channel.K))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise CliInputError(f"{path}: bad target {raw}: {exc}") from None
     name = doc.get("name") or path
     return ChannelFile(channel, name, targets)
@@ -165,10 +172,10 @@ def _constraint_data(c, K) -> dict:
     }
 
 
-def _cycle_data(sp) -> dict:
+def _cycle_data(cycle, length) -> dict:
     return {
-        "vertices": [vertex_label(v) for v in sp.negative_cycle],
-        "length": render_rational(sp.cycle_length),
+        "vertices": [vertex_label(v) for v in cycle],
+        "length": render_rational(length),
     }
 
 
@@ -278,7 +285,7 @@ def cmd_feasible(args) -> int:
                 f"the target satisfies the circuit's bound "
                 f"{violated.export_line(cf.channel.K)}")
         data["violated_constraint"] = _constraint_data(violated, cf.channel.K)
-        data["negative_cycle"] = _cycle_data(sp)
+        data["negative_cycle"] = _cycle_data(sp.negative_cycle, sp.cycle_length)
         text = (
             f"target ({', '.join(_render_vec(d))}): infeasible; "
             f"violated {violated.export_line(cf.channel.K)}; "
@@ -399,10 +406,7 @@ def cmd_power(args) -> int:
             "target": _render_vec(d),
             "algorithm": args.alg,
             "feasible": False,
-            "negative_cycle": {
-                "vertices": [vertex_label(v) for v in exc.cycle],
-                "length": render_rational(exc.cycle_length),
-            },
+            "negative_cycle": _cycle_data(exc.cycle, exc.cycle_length),
         }
         Report(data, f"infeasible target: {exc}").emit(args.json)
         return EXIT_NEGATIVE
@@ -473,7 +477,7 @@ def cmd_rates(args) -> int:
                 name = alg if len(targets) == 1 else (
                     f"{alg}@{'-'.join(_render_vec(d))}")
                 named.append((name, tuple(sol.allocation)))
-    if not named and not args.alloc:
+    if not named:
         raise CliInputError("this command needs --alloc or --alg")
     # the sweep's synthetic baseline stands in for any all-zero allocation
     named = [(name, r) for name, r in named if any(x != 0 for x in r)]

@@ -8,8 +8,10 @@ Three controls are provided. The synchronous fixed-point iteration (gsfpc)
 converges to a locally optimal allocation from the shortest-path start. The
 K-update scheme (ggpc) lowers all still-active users by the largest uniform
 amount that keeps every target met, freezes the users that hit their limit,
-and terminates with the unique componentwise-minimal achieving allocation; on
-a multi-state channel each user's margin takes its worst state.
+and terminates with the unique componentwise-minimal achieving allocation.
+Both read only the regular counterpart's matrix, whose row k gives user k's
+worst-state TIN rate; ``achieved_gdof`` keeps the per-state definition, which
+certificates check independently of the counterpart.
 """
 
 from __future__ import annotations
@@ -109,14 +111,13 @@ def gsfpc(channel, d) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     iterates decrease and reach an exact fixed point, which is locally optimal
     and dominates every local optimum below the start.
     """
-    validate(channel)
+    a = regular_counterpart(channel).matrix
     d = gdof_tuple(d, channel.K)
     _require_positive(d)
     r = _initial_allocation(channel, d)
     iterates = [r]
     for n in range(GSFPC_MAX_ITERATIONS):
-        nxt = tuple(
-            r[k] + d[k] - _worst_state(channel, r, k) for k in range(channel.K))
+        nxt = tuple(r[k] + d[k] - _rate_exponent(row, r, k) for k, row in enumerate(a))
         iterates.append(nxt)
         if nxt == r:
             return nxt, GsfpcTrace(tuple(iterates), True, n + 1)
@@ -150,11 +151,11 @@ def ggpc(channel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     Every update applies the largest uniform power reduction that keeps all
     still-active users at or above target, then freezes the whole argmin set.
     Terminates within K updates; each frozen user achieves its target exactly
-    from the moment it is fixed. On a multi-state channel each user's margin
-    takes its worst state, so every user ends with at least one state meeting
-    its target exactly; the output equals ggpc on the regular counterpart.
+    from the moment it is fixed. On a multi-state channel the margins are read
+    from the regular counterpart's rows, which equal each user's worst state,
+    so every user ends with at least one state meeting its target exactly.
     """
-    validate(channel)
+    a = regular_counterpart(channel).matrix
     d = gdof_tuple(d, channel.K)
     _require_positive(d)
     r0 = _initial_allocation(channel, d)
@@ -163,34 +164,30 @@ def ggpc(channel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     fixed: list[int] = []
     updates: list[GgpcUpdate] = []
     while active:
-        margins = {}
-        for i in sorted(active):
-            per_state = []
-            for vec in channel.receivers[i]:
-                noise = max([ZERO] + [vec[m] + r[m] for m in fixed])
-                per_state.append(r[i] + vec[i] - d[i] - noise)
-            margins[i] = min(per_state)
+        margins = {
+            i: r[i] + a[i][i] - d[i] - max([ZERO] + [a[i][m] + r[m] for m in fixed])
+            for i in sorted(active)}
         delta = min(margins.values())
         newly = tuple(sorted(i for i in active if margins[i] == delta))
         for i in active:
             r[i] -= delta
         active -= set(newly)
         fixed.extend(newly)
-        updates.append(GgpcUpdate(
-            delta, newly, tuple(r), achieved_gdof(channel, r)))
+        achieved = tuple(max(_rate_exponent(row, r, k), ZERO) for k, row in enumerate(a))
+        updates.append(GgpcUpdate(delta, newly, tuple(r), achieved))
     return tuple(r), GgpcTrace(r0, tuple(updates))
 
 
 def locally_optimal(channel, r, d) -> bool:
     """True iff no user can unilaterally lower its exponent and keep its
     target: each r_k must equal its closed-form unilateral minimum."""
-    validate(channel)
+    a = regular_counterpart(channel).matrix
     r = power_exponents(r, channel.K)
     d = gdof_tuple(d, channel.K)
-    achieved = achieved_gdof(channel, r)
-    if any(a < t for a, t in zip(achieved, d)):
+    rate_exps = tuple(_rate_exponent(row, r, k) for k, row in enumerate(a))
+    if any(max(x, ZERO) < t for x, t in zip(rate_exps, d)):
         raise ValueError("allocation does not achieve the target tuple")
-    return all(_worst_state(channel, r, k) == d[k] for k in range(channel.K))
+    return rate_exps == d
 
 
 def _scaled_int(value: Fraction, scale: int) -> int:
@@ -297,9 +294,10 @@ ALGORITHMS = ("sp", "gsfpc", "ggpc", "ggpc-c")
 def solve_power(channel, d, algorithm: str) -> PowerSolution:
     """Run one of the named controls, deactivating zero-target users first.
 
-    "sp" returns the shortest-path allocation itself. "ggpc" on a multi-state
-    channel routes through the regular counterpart (flagged in the result);
-    "ggpc-c" runs the worst-state update on the channel itself.
+    "sp" returns the shortest-path allocation itself. "ggpc" and "ggpc-c" run
+    the same control, which reads the regular counterpart either way; "ggpc"
+    on a multi-state channel flags this in ``via_counterpart``, "ggpc-c" does
+    not.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -312,17 +310,14 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     sub = subnetwork(channel, active) if silent else channel
     d_sub = [d[i] for i in active]
 
-    via_counterpart = False
     trace: GgpcTrace | GsfpcTrace | None = None
     if algorithm == "sp":
         r_sub = _initial_allocation(sub, gdof_tuple(d_sub))
     elif algorithm == "gsfpc":
         r_sub, trace = gsfpc(sub, d_sub)
-    elif algorithm == "ggpc" and not is_regular(sub):
-        via_counterpart = True
-        r_sub, trace = ggpc(regular_counterpart(sub), d_sub)
     else:
         r_sub, trace = ggpc(sub, d_sub)
+    via_counterpart = algorithm == "ggpc" and not is_regular(sub)
 
     allocation: list[Fraction | None] = [None] * channel.K
     for pos, user in enumerate(active):

@@ -1,10 +1,13 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles and per-state references.
 
-Everything here deliberately avoids the package's analytic routes
-(inequality lists, Bellman-Ford): membership is decided by scanning a power
-grid against the rate expressions, and shortest paths by enumerating simple
-paths. The grid scans run on exactly scaled integers, so comparisons are
-exact.
+The oracles deliberately avoid the package's analytic routes (inequality
+lists, Bellman-Ford): membership is decided by scanning a power grid against
+the rate expressions, and shortest paths by enumerating simple paths. The
+grid scans run on exactly scaled integers, so comparisons are exact.
+
+The control references run the power-control updates over every receiver
+state instead of the regular counterpart's rows, starting from the full
+per-state graph's shortest paths.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from itertools import combinations, permutations
 from math import lcm
 
 import numpy as np
+
+import tinpower as tp
 
 F = Fraction
 
@@ -131,3 +136,46 @@ def all_circuits_nonnegative(graph) -> bool:
                 if ok and total < 0:
                     return False
     return True
+
+
+def _worst_state_rate(channel, r, k) -> Fraction:
+    """User k's TIN rate expression minimised over its receiver states."""
+    others = [j for j in range(channel.K) if j != k]
+    return min(vec[k] + r[k] - max([F(0)] + [vec[j] + r[j] for j in others])
+               for vec in channel.receivers[k])
+
+
+def gsfpc_step_per_state(channel, r, d) -> tuple[Fraction, ...]:
+    """One synchronous fixed-point round: every exponent moves by its user's
+    worst-state surplus over the target."""
+    return tuple(
+        r[k] + d[k] - _worst_state_rate(channel, r, k) for k in range(channel.K))
+
+
+def ggpc_per_state(channel, d):
+    """The K-update control with each margin taken over every receiver state
+    (the worst state counts) and each trace row's achieved GDoF from the
+    per-state ``achieved_gdof``. Returns ``(r, GgpcTrace)``."""
+    d = tp.gdof_tuple(d, channel.K)
+    r0 = tp.shortest_paths(tp.build_full(channel, d)).l_dst
+    r = list(r0)
+    active = set(range(channel.K))
+    fixed: list[int] = []
+    updates = []
+    while active:
+        margins = {}
+        for i in sorted(active):
+            per_state = []
+            for vec in channel.receivers[i]:
+                noise = max([F(0)] + [vec[m] + r[m] for m in fixed])
+                per_state.append(r[i] + vec[i] - d[i] - noise)
+            margins[i] = min(per_state)
+        delta = min(margins.values())
+        newly = tuple(sorted(i for i in active if margins[i] == delta))
+        for i in active:
+            r[i] -= delta
+        active -= set(newly)
+        fixed.extend(newly)
+        updates.append(tp.GgpcUpdate(
+            delta, newly, tuple(r), tp.achieved_gdof(channel, r)))
+    return tuple(r), tp.GgpcTrace(r0, tuple(updates))

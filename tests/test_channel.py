@@ -30,6 +30,11 @@ def test_validate_negative_strength():
     assert "negative" in str(err.value)
 
 
+def test_validate_rejects_bool_user_count():
+    with pytest.raises(tp.ChannelValidationError):
+        tp.validate(tp.CompoundChannel(True, (((F(1),),),)))
+
+
 def test_validate_empty_state_set():
     ch = tp.CompoundChannel(1, ((),))
     with pytest.raises(tp.ChannelValidationError) as err:

@@ -59,6 +59,24 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+TWO_USERS = [{"states": [["1", "0.5"]]}, {"states": [["0.5", "1"]]}]
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"K": 2, "receivers": TWO_USERS, "targets": 5}, '"targets"'),
+    ({"K": 2, "receivers": TWO_USERS, "targets": [None]}, "bad target None"),
+    ({"K": 2, "receivers": TWO_USERS, "targets": [[{"a": 1}]]}, "bad target"),
+    ({"K": 2, "receivers": [{"states": 3}, TWO_USERS[1]]}, '"states"'),
+    ({"K": True, "receivers": [{"states": [["1"]]}]}, '"K"'),
+], ids=["targets-number", "target-null", "target-object", "states-number", "K-bool"])
+@pytest.mark.parametrize("command", ["validate", "counterpart"])
+def test_malformed_documents_exit_2(tmp_path, capsys, doc, field, command):
+    path = write(tmp_path, "malformed.json", doc)
+    code, out, err = run(capsys, command, "--channel", path, "--json")
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "--channel", "/no/such/file.json")
     assert code == 2

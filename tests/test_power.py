@@ -6,6 +6,7 @@ import pytest
 import tinpower as tp
 
 from fixtures import feasible_grid_target, random_compound, single
+from oracles import ggpc_per_state, gsfpc_step_per_state
 
 
 def test_achieved_gdof_two_state(comp2):
@@ -136,15 +137,49 @@ def test_ggpc_compound_two_state(comp2):
 
 
 def test_ggpc_compound_equals_counterpart_route(comp2):
-    direct, _ = tp.ggpc(comp2, ["0.5", "0.5"])
-    via, _ = tp.ggpc(tp.regular_counterpart(comp2), ["0.5", "0.5"])
-    assert direct == via
+    # allocation and trace match the per-state worst-margin reference, on the
+    # channel and on its counterpart alike
+    expected = ggpc_per_state(comp2, ["0.5", "0.5"])
+    assert tp.ggpc(comp2, ["0.5", "0.5"]) == expected
+    assert tp.ggpc(tp.regular_counterpart(comp2), ["0.5", "0.5"]) == expected
 
 
 def test_ggpc_compound_collapses_on_regular(mix3):
-    a, _ = tp.ggpc(mix3, ["0.5", "0.6", "0.7"])
-    b, _ = tp.ggpc(mix3, ["0.5", "0.6", "0.7"])
-    assert a == b
+    d = ["0.5", "0.6", "0.7"]
+    assert tp.ggpc(mix3, d) == ggpc_per_state(mix3, d)
+
+
+def test_controls_match_per_state_reference_seeded():
+    rng = random.Random(58)
+    checked = 0
+    while checked < 40:
+        ch = random_compound(rng, K=rng.randint(1, 5))
+        if tp.is_regular(ch):
+            continue
+        d = feasible_grid_target(rng, ch)
+        if d is None:
+            continue
+        checked += 1
+        expected = ggpc_per_state(ch, d)
+        for alg in ("ggpc", "ggpc-c"):
+            sol = tp.solve_power(ch, d, alg)
+            assert (sol.allocation, sol.trace) == expected
+            assert sol.via_counterpart == (alg == "ggpc")
+        _, trace = tp.gsfpc(ch, d)
+        assert trace.converged and trace.iterates[0] == expected[1].r0
+        for prev, nxt in zip(trace.iterates, trace.iterates[1:]):
+            assert nxt == gsfpc_step_per_state(ch, prev, d)
+            assert tp.locally_optimal(ch, prev, d) == (nxt == prev)
+        # a silent user: the controls run on the others' subnetwork
+        if ch.K > 1:
+            off = rng.randrange(ch.K)
+            active = [k for k in range(ch.K) if k != off]
+            sub_r, _ = ggpc_per_state(
+                tp.subnetwork(ch, active), [d[k] for k in active])
+            sol = tp.solve_power(ch, [0 if k == off else x for k, x in enumerate(d)],
+                                 "ggpc")
+            assert [sol.allocation[k] for k in active] == list(sub_r)
+            assert sol.allocation[off] is None
 
 
 def test_ggpc_trace_invariants_random():
