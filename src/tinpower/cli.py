@@ -316,9 +316,6 @@ def cmd_region(args) -> int:
     except EmptyRegionError:
         data["empty"] = True
         lines.append("# region is empty")
-    except GuardExceededError as exc:
-        data["optimization_skipped"] = str(exc)
-        lines.append(f"# optimization skipped: {exc}")
     Report(data, "\n".join(lines)).emit(args.json)
     return EXIT_OK
 
@@ -467,13 +464,16 @@ def cmd_rates(args) -> int:
         else:
             raise CliInputError(
                 "--alg needs a target (--target or a targets list in the file)")
-        for alg in args.alg.split(","):
-            alg = alg.strip()
+        for alg in _distinct(alg.strip() for alg in args.alg.split(",")):
             for d in targets:
                 if any(x == 0 for x in d):
                     raise CliInputError(
                         "rate evaluation needs strictly positive targets")
-                sol = solve_power(cf.channel, d, alg)
+                try:
+                    sol = solve_power(cf.channel, d, alg)
+                except InfeasibleTargetError as exc:
+                    print(f"infeasible target: {exc}")
+                    return EXIT_NEGATIVE
                 name = alg if len(targets) == 1 else (
                     f"{alg}@{'-'.join(_render_vec(d))}")
                 named.append((name, tuple(sol.allocation)))

@@ -30,7 +30,7 @@ from .errors import (
     PolyhedralViolationError,
 )
 from .potential import build_reduced, shortest_paths
-from .rationals import gdof_tuple, parse_rational, power_exponents
+from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
 
 ZERO = Fraction(0)
 
@@ -87,7 +87,8 @@ def _initial_allocation(channel, d) -> tuple[Fraction, ...]:
     sp = shortest_paths(build_reduced(channel, d))
     if not sp.feasible:
         raise InfeasibleTargetError(
-            f"target {tuple(map(str, d))} is outside the polyhedral region",
+            f"target ({', '.join(map(render_rational, d))}) is outside the "
+            f"polyhedral region",
             cycle=sp.negative_cycle, cycle_length=sp.cycle_length)
     return sp.l_dst
 

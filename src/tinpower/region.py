@@ -4,8 +4,9 @@ The region with all users active is cut out by per-user upper bounds plus one
 sum bound per cyclic sequence of users; state uncertainty collapses through
 the regular counterpart. Yes/no questions (membership, Pareto optimality) are
 decided on the reduced potential graph, whose circuits are exactly these
-bounds; the enumerated list serves the export and the optima. Everything here
-is exact rational arithmetic.
+bounds; the sum and symmetric optima solve one LP over its potentials (Geng,
+Naderializadeh, Avestimehr and Jafar, IEEE T-IT 2015). The enumerated list
+serves only the export. Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
 
 from .channel import CompoundChannel, regular_counterpart, subnetwork
 from .errors import EmptyRegionError, GuardExceededError
@@ -27,11 +27,8 @@ from .potential import (
 from .rationals import gdof_tuple, render_rational
 
 # Cyclic-sequence counts grow super-exponentially; beyond this only the graph
-# route (membership, Pareto) answers.
+# route (membership, Pareto, the optima) answers.
 CYCLE_GUARD_K = 10
-
-# Cap on the active-set combinations scanned by sum_gdof.
-VERTEX_ENUM_LIMIT = 400_000
 
 ZERO = Fraction(0)
 
@@ -113,15 +110,11 @@ def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     K = channel.K
     raw = [cycle_bound(a, (i,)) for i in range(K)]
     raw += [cycle_bound(a, cyc) for cyc in enumerate_cycles(K)]
-    seen: set[tuple[tuple[int, ...], Fraction]] = set()
-    unique = []
+    unique: dict[tuple[tuple[int, ...], Fraction], Constraint] = {}
     for c in raw:
-        key = (c.users, c.rhs)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
-    unique.sort(key=lambda c: (len(c.users), c.users, c.rhs))
-    return RegionConstraints(K, tuple(unique))
+        unique.setdefault((c.users, c.rhs), c)
+    return RegionConstraints(K, tuple(sorted(
+        unique.values(), key=lambda c: (len(c.users), c.users, c.rhs))))
 
 
 def circuit_bound(channel, circuit) -> Constraint:
@@ -226,75 +219,78 @@ def pareto(channel, d, constraints: RegionConstraints | None = None) -> bool:
         f"pareto requires a member tuple; violated: {violated.export_line(channel.K)}")
 
 
-def _solve_square(rows: list[tuple[tuple[Fraction, ...], Fraction]],
-                  ) -> tuple[Fraction, ...] | None:
-    """Solve a K x K rational linear system; None when singular."""
-    n = len(rows)
-    mat = [list(coeffs) + [rhs] for coeffs, rhs in rows]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = mat[col][col]
-        mat[col] = [x / inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    return tuple(mat[r][n] for r in range(n))
+def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
+    """The region as rows ``coeffs . (d, s) <= rhs`` over ``d, s >= 0``: one
+    per edge ``x -> y`` out of a user of the reduced graph, the potential
+    constraint ``l[y] <= l[x] + w - d_x`` with ``l = l0 - s``. Bellman-Ford
+    at ``d = 0`` gives ``l0``, the greatest feasible potentials at any
+    ``d >= 0``, so ``s >= 0`` loses nothing and each rhs, the edge's reduced
+    length under ``l0``, is ``>= 0``."""
+    K = channel.K
+    graph = build_reduced(channel, (ZERO,) * K)
+    sp = shortest_paths(graph)
+    if not sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
+        raise EmptyRegionError(
+            "polyhedral region is empty (a sum bound is negative)")
+    level = {v: ZERO if v == U else sp.l_dst[v[0]] for v in graph.vertices}
+    rows = []
+    for src, dst, w in graph.edges:
+        if src == U:
+            continue
+        coeffs = [ZERO] * (2 * K)
+        coeffs[src[0]] += 1
+        coeffs[K + src[0]] += 1
+        if dst != U:
+            coeffs[K + dst[0]] -= 1
+        rows.append((coeffs, w + level[src] - level[dst]))
+    return rows
+
+
+def _lex_max(rows, objectives) -> tuple[Fraction, ...]:
+    """The lexicographic maximum of ``objectives`` over ``x >= 0`` with
+    ``coeffs . x <= rhs`` (every ``rhs >= 0``): simplex from the origin on a
+    condensed tableau whose rows, objectives included, read ``basic = value
+    - sum(entry * nonbasic)``. A column with lexicographically negative
+    objective entries enters; Bland's rule (least entering label, ratio ties
+    to the least basic label; slacks are labelled from n) terminates."""
+    n, m = len(objectives[0]), len(rows)
+    tab = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
+    tab += [[-Fraction(c) for c in obj] + [ZERO] for obj in objectives]
+    basic, nonbasic = list(range(n, n + m)), list(range(n))
+    while entering := [c for c in range(n)
+                       if next((row[c] for row in tab[m:] if row[c]), 0) < 0]:
+        c = min(entering, key=lambda c: nonbasic[c])
+        r = min((i for i in range(m) if tab[i][c] > 0),
+                key=lambda i: (tab[i][-1] / tab[i][c], basic[i]))
+        p = tab[r][c]
+        tab[r] = [x / p for x in tab[r]]
+        tab[r][c] = 1 / p
+        for i, row in enumerate(tab):
+            if i != r and row[c]:
+                f = row[c]
+                tab[i] = [x - f * y for x, y in zip(row, tab[r])]
+                tab[i][c] = -f / p
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
+    value = dict(zip(basic, (row[-1] for row in tab)))
+    return tuple(value.get(label, ZERO) for label in range(n))
 
 
 def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact maximum of the GDoF sum over the region, with one maximizer.
-
-    Enumerates active sets of K constraints (region inequalities plus
-    non-negativity), keeping the best vertex. Among optimal vertices the
-    lexicographically greatest is returned, which makes ties deterministic.
-    """
-    cons = region_constraints(channel)
-    K = cons.K
-    if any(c.rhs < 0 for c in cons.constraints):
-        raise EmptyRegionError(
-            "polyhedral region is empty (a sum bound is negative)")
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for c in cons.constraints:
-        members = set(c.users)
-        rows.append((tuple(Fraction(int(i in members)) for i in range(K)), c.rhs))
-    for i in range(K):
-        rows.append((tuple(Fraction(-int(j == i)) for j in range(K)), ZERO))
-    active_sets = comb(len(rows), K)
-    if active_sets > VERTEX_ENUM_LIMIT:
-        raise GuardExceededError(
-            f"sum-GDoF active-set enumeration too large for K={K}: "
-            f"C({len(rows)}, {K}) = {active_sets} active sets, "
-            f"limit {VERTEX_ENUM_LIMIT}")
-    best: tuple[Fraction, tuple[Fraction, ...]] | None = None
-    for combo in combinations(range(len(rows)), K):
-        point = _solve_square([rows[i] for i in combo])
-        if point is None:
-            continue
-        if any(x < 0 for x in point):
-            continue
-        if not all(coeffs_dot(point, coeffs) <= rhs for coeffs, rhs in rows):
-            continue
-        key = (sum(point, start=ZERO), point)
-        if best is None or key > best:
-            best = key
-    assert best is not None  # origin is always a vertex when all rhs >= 0
-    return best
-
-
-def coeffs_dot(point, coeffs) -> Fraction:
-    return sum((p * c for p, c in zip(point, coeffs)), start=ZERO)
+    """Exact maximum of the GDoF sum over the region, with one maximizer:
+    one LP over the potential form. Among maximizers the lexicographically
+    greatest is returned (objectives: the sum, then d1, ..., dK), which
+    makes ties deterministic."""
+    K = channel.K
+    objectives = [[1] * K + [0] * K]
+    objectives += [[int(i == k) for i in range(2 * K)] for k in range(K)]
+    d = _lex_max(_potential_rows(channel), objectives)[:K]
+    return sum(d, start=ZERO), d
 
 
 def symmetric_gdof(channel) -> Fraction:
-    """Largest t with (t, ..., t) in the region: the minimum over constraints
-    of rhs divided by the number of participating users."""
-    cons = region_constraints(channel)
-    best = min(c.rhs / len(c.users) for c in cons.constraints)
-    if best < 0:
-        raise EmptyRegionError(
-            "polyhedral region is empty (a sum bound is negative)")
-    return best
+    """Largest t with (t, ..., t) in the region: the LP of :func:`sum_gdof`
+    with every target replaced by t. It equals the least rhs per user over
+    the region's inequalities."""
+    K = channel.K
+    rows = [([sum(c[:K])] + c[K:], rhs) for c, rhs in _potential_rows(channel)]
+    return _lex_max(rows, [[1] + [0] * K])[0]

@@ -5,6 +5,11 @@ lists, Bellman-Ford): membership is decided by scanning a power grid against
 the rate expressions, and shortest paths by enumerating simple paths. The
 grid scans run on exactly scaled integers, so comparisons are exact.
 
+The optimum references scan the enumerated inequality list instead of the
+potential-form LP: the sum optimum over every vertex (active sets of K
+inequalities), the symmetric optimum as the least rhs per user, and a KKT
+certificate for a claimed sum maximizer.
+
 The control references run the power-control updates over every receiver
 state instead of the regular counterpart's rows, starting from the full
 per-state graph's shortest paths.
@@ -179,3 +184,86 @@ def ggpc_per_state(channel, d):
         updates.append(tp.GgpcUpdate(
             delta, newly, tuple(r), tp.achieved_gdof(channel, r)))
     return tuple(r), tp.GgpcTrace(r0, tuple(updates))
+
+
+def _solve_square(rows) -> tuple[Fraction, ...] | None:
+    """Solve a K x K rational linear system ``(coeffs, rhs)``; None when
+    singular."""
+    n = len(rows)
+    mat = [[F(x) for x in coeffs] + [F(rhs)] for coeffs, rhs in rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        inv = mat[col][col]
+        mat[col] = [x / inv for x in mat[col]]
+        for r in range(n):
+            if r != col and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
+    return tuple(mat[r][n] for r in range(n))
+
+
+def _bound_rows(cons) -> list:
+    """The region inequalities and d >= 0 as ``(coeffs, rhs)`` rows. Of the
+    bounds on one user set only the least rhs is kept: a larger one is never
+    active inside the region, so the vertices stay the same."""
+    K = cons.K
+    least: dict[tuple[int, ...], Fraction] = {}
+    for c in cons.constraints:
+        coeffs = tuple(int(i in c.users) for i in range(K))
+        least[coeffs] = min(least.get(coeffs, c.rhs), c.rhs)
+    rows = list(least.items())
+    rows += [(tuple(-int(j == i) for j in range(K)), F(0)) for i in range(K)]
+    return rows
+
+
+def _require_nonempty(cons) -> None:
+    if any(c.rhs < 0 for c in cons.constraints):
+        raise tp.EmptyRegionError(
+            "polyhedral region is empty (a sum bound is negative)")
+
+
+def sum_gdof_by_vertices(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The sum optimum over every vertex of the enumerated inequality list:
+    each active set of K rows (bounds and d >= 0) with a unique solution
+    inside the region is a vertex, and the best vertex by (sum, point) wins.
+    Cost is C(rows, K) linear solves; for K <= 4."""
+    cons = tp.region_constraints(channel)
+    _require_nonempty(cons)
+    rows = _bound_rows(cons)
+    best = None
+    for combo in combinations(rows, cons.K):
+        point = _solve_square(combo)
+        if point is None or any(x < 0 for x in point):
+            continue
+        if not all(sum(p * c for p, c in zip(point, coeffs)) <= rhs
+                   for coeffs, rhs in rows):
+            continue
+        key = (sum(point, start=F(0)), point)
+        if best is None or key > best:
+            best = key
+    return best
+
+
+def symmetric_gdof_by_bounds(channel) -> Fraction:
+    """The least rhs per participating user over the enumerated list."""
+    cons = tp.region_constraints(channel)
+    _require_nonempty(cons)
+    return min(c.rhs / len(c.users) for c in cons.constraints)
+
+
+def sum_optimal(channel, x) -> bool:
+    """KKT certificate for a claimed sum maximizer: the all-ones objective
+    is a non-negative combination of the rows active at ``x`` (some K of
+    them are linearly independent when ``x`` is a vertex)."""
+    cons = tp.region_constraints(channel)
+    active = [(coeffs, rhs) for coeffs, rhs in _bound_rows(cons)
+              if sum(p * c for p, c in zip(x, coeffs)) == rhs]
+    for combo in combinations(active, cons.K):
+        columns = [(tuple(c[i] for c, _ in combo), 1) for i in range(cons.K)]
+        y = _solve_square(columns)
+        if y is not None and all(v >= 0 for v in y):
+            return True
+    return False

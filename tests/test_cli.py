@@ -1,12 +1,13 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import tinpower as tp
-from tinpower.cli import load_channel_file, main
+from tinpower.cli import ALGORITHMS, load_channel_file, main
 
 CHANNELS = Path(__file__).parent.parent / "channels"
 
@@ -167,6 +168,78 @@ def test_region_json_matches_text_numbers(capsys):
     assert doc["symmetric_gdof"] == "1"
     rhs = sorted(c["rhs"] for c in doc["constraints"])
     assert rhs == sorted(["2", "2", "1", "2", "2.2", "2.2", "3.2"])
+
+
+def five_user_doc():
+    rng = random.Random(72)
+    receivers = []
+    for k in range(5):
+        states = []
+        for _ in range(1 + k % 2):
+            vec = [str(F(rng.randint(0, 6), 10)) for _ in range(5)]
+            vec[k] = str(F(rng.randint(10, 20), 10))
+            states.append(vec)
+        receivers.append({"states": states})
+    return {"K": 5, "receivers": receivers}
+
+
+def test_region_reports_optima_at_five_users(tmp_path, capsys):
+    path = write(tmp_path, "k5.json", five_user_doc())
+    ch = load_channel_file(path).channel
+    total, maximizer = tp.sum_gdof(ch)
+    sym = tp.symmetric_gdof(ch)
+    code, out, _ = run(capsys, "region", "--channel", path, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert "optimization_skipped" not in doc
+    assert doc["sum_gdof"] == tp.render_rational(total)
+    assert doc["sum_gdof_maximizer"] == [tp.render_rational(x) for x in maximizer]
+    assert doc["symmetric_gdof"] == tp.render_rational(sym)
+    code, out, _ = run(capsys, "region", "--channel", path)
+    assert code == 0
+    assert out.splitlines()[-1] == f"# symmetric GDoF {tp.render_rational(sym)}"
+
+
+def _numbers(text) -> set[str]:
+    return set(re.findall(r"-?\d+(?:\.\d+)?(?:/\d+)?", text))
+
+
+def _json_numbers(value) -> set[str]:
+    if isinstance(value, dict):  # names and paths are not report numbers
+        value = [v for k, v in value.items() if k not in ("channel", "name")]
+    if isinstance(value, list):
+        return set().union(*map(_json_numbers, value))
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        return _numbers(str(value))
+    return set()
+
+
+def test_text_and_json_carry_the_same_numbers(tmp_path, capsys):
+    # every non-rates command over the sample files, their targets and one
+    # infeasible target each (direct strengths + 1/2), plus a K = 5 region
+    calls = []
+    for path in sorted(map(str, CHANNELS.glob("*.json"))) + [
+            write(tmp_path, "k5.json", five_user_doc())]:
+        calls += [[cmd, "--channel", path]
+                  for cmd in ("validate", "tin-check", "counterpart", "region")]
+        if path.endswith("k5.json"):
+            continue
+        cf = load_channel_file(path)
+        strongest = max(x for states in cf.channel.receivers for vec in states
+                        for x in vec)
+        targets = [tp.gdof_tuple(d) for d in cf.targets]
+        targets.append((strongest + F(1, 2),) * cf.channel.K)
+        for d in targets:
+            flags = ["--channel", path, "--target", ",".join(map(tp.render_rational, d))]
+            calls += [["feasible", *flags], ["pareto", *flags]]
+            calls += [["power", *flags, "--alg", alg] for alg in ALGORITHMS]
+    for argv in calls:
+        code, text, text_err = run(capsys, *argv)
+        json_code, out, json_err = run(capsys, *argv, "--json")
+        assert code == json_code, argv
+        assert code in (0, 1), (argv, text_err)
+        missing = _numbers(text) - _json_numbers(json.loads(out))
+        assert not missing, (argv, missing)
 
 
 def test_pareto_yes_and_no(capsys):
@@ -382,6 +455,26 @@ def test_rates_normalized_rates_approach_target(capsys):
         ordered = sorted((r for r in rows if r[2] == user), key=lambda r: float(r[1]))
         norms = [abs(float(r[3]) / math.log2(float(r[1])) - 1.0) for r in ordered]
         assert norms[0] > norms[-1]
+
+
+def test_rates_infeasible_target_exits_1_like_power(capsys):
+    flags = ["--channel", str(CHANNELS / "asym3.json"), "--alg", "ggpc",
+             "--target", "2,2,0.5"]
+    code, out, err = run(capsys, "rates", *flags, "--P", "100")
+    power_code, power_out, _ = run(capsys, "power", *flags)
+    assert code == power_code == 1
+    assert out == power_out == (
+        "infeasible target: target (2, 2, 0.5) is outside the polyhedral region\n")
+    assert err == ""
+
+
+def test_rates_repeated_alg_is_solved_once(capsys):
+    flags = ["--channel", str(CHANNELS / "mix3.json"), "--P", "100,1000"]
+    code, out, _ = run(capsys, "rates", *flags, "--alg", "ggpc, gsfpc,ggpc")
+    assert code == 0
+    assert out == run(capsys, "rates", *flags, "--alg", "ggpc,gsfpc")[1]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert sum(row[0] == "ggpc" for row in rows) == 6  # 3 users x 2 powers
 
 
 def test_rates_requires_positive_targets(capsys):

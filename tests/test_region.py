@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb
 
 import pytest
 
 import tinpower as tp
 
 from fixtures import grid_value, pareto_target, random_compound, random_tin_optimal, single
-from oracles import grid_member_polyhedral
+from oracles import (
+    grid_member_polyhedral,
+    sum_gdof_by_vertices,
+    sum_optimal,
+    symmetric_gdof_by_bounds,
+)
 
 
 def test_enumerate_cycles_three_users():
@@ -222,8 +226,9 @@ def test_membership_matches_graph_feasibility_random():
 
 def test_graph_verdicts_match_enumeration_seeded():
     # the graph route (member, pareto, tight_users) against the enumerated
-    # inequality list on multi-state channels up to K = 7; direct strengths
-    # of 1 and cross strengths <= 1 keep every region non-empty
+    # inequality list on multi-state channels up to K = 7, at grid,
+    # symmetric, frontier and sum-maximizer targets; direct strengths of 1
+    # and cross strengths <= 1 keep every region non-empty
     rng = random.Random(41)
     for n in range(36):
         ch = random_compound(rng, K=1 + n % 7, alpha_max=F(1), diag_min=F(1))
@@ -231,8 +236,7 @@ def test_graph_verdicts_match_enumeration_seeded():
         bounds = {(c.users, c.rhs) for c in cons.constraints}
         targets = [[grid_value(rng, F("1.5")) for _ in range(ch.K)] for _ in range(6)]
         targets += [[tp.symmetric_gdof(ch)] * ch.K, pareto_target(rng, ch)]
-        if ch.K <= 3 or n == 3:  # one K = 4 sum optimum: it takes seconds
-            targets.append(tp.sum_gdof(ch)[1])
+        targets.append(tp.sum_gdof(ch)[1])
         for d in targets:
             d = tp.gdof_tuple(d, ch.K)
             ok, violated = tp.member(ch, d)
@@ -250,14 +254,55 @@ def test_graph_verdicts_match_enumeration_seeded():
             assert tp.pareto(ch, d) == tp.pareto(ch, d, cons) == (len(tight) == ch.K)
 
 
-def test_sum_gdof_guard_states_size_and_limit():
-    rng = random.Random(42)
-    ch = random_tin_optimal(rng, K=5)
-    rows = len(tp.region_constraints(ch).constraints) + 5
-    with pytest.raises(tp.GuardExceededError) as exc:
-        tp.sum_gdof(ch)
-    assert f"C({rows}, 5) = {comb(rows, 5)}" in str(exc.value)
-    assert str(tp.region.VERTEX_ENUM_LIMIT) in str(exc.value)
+def test_optima_match_vertex_enumeration_seeded():
+    # the potential-form LP against the vertex enumeration of the inequality
+    # list, including its lexicographically greatest maximizer and empty
+    # regions (about half of these channels have a negative sum bound)
+    rng = random.Random(43)
+    empty = 0
+    for n in range(60):
+        ch = random_compound(rng, K=1 + n % 4, alpha_max=F(rng.choice([1, 2])),
+                             diag_min=F(rng.choice([0, 1])))
+        try:
+            expected = (sum_gdof_by_vertices(ch), symmetric_gdof_by_bounds(ch))
+        except tp.EmptyRegionError:
+            empty += 1
+            for optimum in (tp.sum_gdof, tp.symmetric_gdof):
+                with pytest.raises(tp.EmptyRegionError, match="a sum bound is negative"):
+                    optimum(ch)
+            continue
+        assert (tp.sum_gdof(ch), tp.symmetric_gdof(ch)) == expected
+    assert 10 <= empty <= 50
+
+
+def test_optima_certified_at_five_to_seven_users():
+    rng = random.Random(44)
+    for n in range(6):
+        ch = random_compound(rng, K=5 + n % 3, alpha_max=F(1), diag_min=F(1))
+        cons = tp.region_constraints(ch)
+        total, maximizer = tp.sum_gdof(ch)
+        assert sum(maximizer) == total and min(maximizer) >= 0
+        assert tp.member(ch, maximizer)[0] and tp.member(ch, maximizer, cons)[0]
+        assert sum_optimal(ch, maximizer)
+        assert tp.symmetric_gdof(ch) == min(
+            c.rhs / len(c.users) for c in cons.constraints)
+
+
+def test_optima_never_enumerate(monkeypatch):
+    import tinpower.region as region
+
+    def refuse(K):
+        raise AssertionError("cycle enumeration reached")
+
+    monkeypatch.setattr(region, "enumerate_cycles", refuse)
+    rng = random.Random(45)
+    for K in (5, 12):
+        ch = random_tin_optimal(rng, K=K, max_states=2)
+        total, maximizer = tp.sum_gdof(ch)
+        sym = tp.symmetric_gdof(ch)
+        assert tp.member(ch, maximizer)[0] and tp.member(ch, [sym] * K)[0]
+        assert not tp.member(ch, [sym + F(1, 100)] * K)[0]
+        assert K * sym <= total == sum(maximizer)
 
 
 # Completeness of the grid oracle needs every feasible target to have a grid
