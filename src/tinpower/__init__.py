@@ -17,6 +17,7 @@ from .channel import (
     validate,
 )
 from .errors import (
+    CertificateError,
     ChannelValidationError,
     EmptyRegionError,
     GuardExceededError,
@@ -50,14 +51,15 @@ from .region import (
     Constraint,
     RegionConstraints,
     circuit_bound,
+    decide,
     enumerate_cycles,
+    improvable_users,
     member,
     member_star,
     pareto,
     region_constraints,
     sum_gdof,
     symmetric_gdof,
-    tight_users,
 )
 from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
 

@@ -3,8 +3,8 @@
 Every invocation loads a JSON channel file, runs one command and prints a
 report (human text by default, machine JSON with --json; the two carry the
 same numbers). Exit codes: 0 success, 1 negative verdict on a yes/no query,
-2 input or parse problems, 3 a verdict whose certificate failed its
-independent check.
+2 input or parse problems, 3 a feasible, pareto, power or rates verdict
+whose certificate failed its independent check (one check: ``_certify``).
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from .channel import (
     validate,
 )
 from .errors import (
+    CertificateError,
     ChannelValidationError,
     EmptyRegionError,
     GuardExceededError,
     InfeasibleTargetError,
     NonConvergenceError,
 )
-from .potential import build_full, build_reduced, shortest_paths, vertex_label
+from .potential import build_full, build_reduced, vertex_label
 from .power import (
     ALGORITHMS,
     GgpcTrace,
@@ -44,11 +45,11 @@ from .power import (
 from .rates import sweep
 from .rationals import gdof_tuple, parse_rational, render_rational
 from .region import (
-    circuit_bound,
+    decide,
+    improvable_users,
     region_constraints,
     sum_gdof,
     symmetric_gdof,
-    tight_users,
 )
 
 EXIT_OK = 0
@@ -251,15 +252,23 @@ def cmd_counterpart(args) -> int:
     return EXIT_OK
 
 
-def _check_failure(message: str) -> int:
-    print(f"internal check failure: {message}", file=sys.stderr)
-    return EXIT_INTERNAL
+def _certify(d, *, achieved=None, bound=None) -> None:
+    """The one check of a verdict's certificate: a "no" bound (evaluated on
+    the counterpart matrix) must be strictly violated by ``d``, and a "yes"
+    allocation's per-state ``achieved_gdof`` must reach ``d``."""
+    if bound is not None:
+        if bound.holds(d):
+            raise CertificateError(
+                f"the target satisfies the circuit's bound {bound.export_line(len(d))}")
+    elif any(a < t for a, t in zip(achieved, d, strict=True)):
+        raise CertificateError("the allocation does not achieve the target")
 
 
 def cmd_feasible(args) -> int:
     cf = load_channel_file(args.channel)
     d = _parse_target(args, cf.channel)
-    sp = shortest_paths(build_reduced(cf.channel, d))
+    verdict = decide(cf.channel, d)
+    sp, violated = verdict.sp, verdict.bound
     if args.debug_graph:
         _dump_graphs(cf.channel, d)
     data = {
@@ -269,21 +278,13 @@ def cmd_feasible(args) -> int:
         "feasible": sp.feasible,
     }
     if sp.feasible:
-        if any(a < t for a, t in zip(achieved_gdof(cf.channel, sp.l_dst), d)):
-            return _check_failure(
-                "the shortest-path allocation does not achieve the target")
+        _certify(d, achieved=achieved_gdof(cf.channel, sp.l_dst))
         data["l_dst"] = _render_vec(sp.l_dst)
         text = (
             f"target ({', '.join(_render_vec(d))}): feasible; "
             f"shortest-path allocation ({', '.join(_render_vec(sp.l_dst))})")
     else:
-        # the circuit names the cycle; its bound is evaluated on the
-        # counterpart matrix, independently of the graph's edge lengths
-        violated = circuit_bound(cf.channel, sp.negative_cycle)
-        if violated.holds(d):
-            return _check_failure(
-                f"the target satisfies the circuit's bound "
-                f"{violated.export_line(cf.channel.K)}")
+        _certify(d, bound=violated)
         data["violated_constraint"] = _constraint_data(violated, cf.channel.K)
         data["negative_cycle"] = _cycle_data(sp.negative_cycle, sp.cycle_length)
         text = (
@@ -324,28 +325,27 @@ def cmd_pareto(args) -> int:
     cf = load_channel_file(args.channel)
     d = _parse_target(args, cf.channel)
     K = cf.channel.K
-    graph = build_reduced(cf.channel, d)
-    sp = shortest_paths(graph)
+    verdict = decide(cf.channel, d)
     data = {
         "command": "pareto",
         "channel": cf.name,
         "target": _render_vec(d),
-        "member": sp.feasible,
+        "member": verdict.sp.feasible,
     }
-    if not sp.feasible:
-        violated = circuit_bound(cf.channel, sp.negative_cycle)
+    if not verdict.sp.feasible:
+        _certify(d, bound=verdict.bound)
         data["pareto"] = False
-        data["violated_constraint"] = _constraint_data(violated, K)
+        data["violated_constraint"] = _constraint_data(verdict.bound, K)
         Report(data, f"not in the region: violates "
-                     f"{violated.export_line(K)}").emit(args.json)
+                     f"{verdict.bound.export_line(K)}").emit(args.json)
         return EXIT_NEGATIVE
-    tight = tight_users(graph, sp)
-    is_pareto = len(tight) == K
+    _certify(d, achieved=achieved_gdof(cf.channel, verdict.sp.l_dst))
+    improvable = improvable_users(verdict)
+    is_pareto = not improvable
     data["pareto"] = is_pareto
     if is_pareto:
         text = "member: yes; Pareto-optimal: yes"
     else:
-        improvable = [k for k in range(K) if k not in tight]
         data["improvable_users"] = _users(improvable)
         text = (f"member: yes; Pareto-optimal: no — users "
                 f"{_users(improvable)} can still be increased")
@@ -397,17 +397,20 @@ def cmd_power(args) -> int:
     try:
         sol = solve_power(cf.channel, d, args.alg)
     except InfeasibleTargetError as exc:
+        _certify(d, bound=exc.bound)
         data = {
             "command": "power",
             "channel": cf.name,
             "target": _render_vec(d),
             "algorithm": args.alg,
             "feasible": False,
+            "violated_constraint": _constraint_data(exc.bound, cf.channel.K),
             "negative_cycle": _cycle_data(exc.cycle, exc.cycle_length),
         }
         Report(data, f"infeasible target: {exc}").emit(args.json)
         return EXIT_NEGATIVE
     achieved = _solution_achieved(cf.channel, sol)
+    _certify(d, achieved=achieved)
     rendered = [
         "silent" if x is None else render_rational(x) for x in sol.allocation]
     data = {
@@ -472,8 +475,10 @@ def cmd_rates(args) -> int:
                 try:
                     sol = solve_power(cf.channel, d, alg)
                 except InfeasibleTargetError as exc:
+                    _certify(d, bound=exc.bound)
                     print(f"infeasible target: {exc}")
                     return EXIT_NEGATIVE
+                _certify(d, achieved=achieved_gdof(cf.channel, sol.allocation))
                 name = alg if len(targets) == 1 else (
                     f"{alg}@{'-'.join(_render_vec(d))}")
                 named.append((name, tuple(sol.allocation)))
@@ -530,6 +535,9 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CertificateError as exc:
+        print(f"internal check failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ChannelValidationError, GuardExceededError, EmptyRegionError,
             NonConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,14 +26,15 @@ class EmptyRegionError(ValueError):
 class InfeasibleTargetError(ValueError):
     """GDoF target outside the polyhedral region.
 
-    Carries a negative-circuit witness from the feasibility test: ``cycle`` is
-    the vertex sequence and ``cycle_length`` its (strictly negative) length.
+    Carries the feasibility test's witness: the circuit ``cycle``, its
+    strictly negative ``cycle_length`` and the region ``bound`` it violates.
     """
 
-    def __init__(self, message, *, cycle=None, cycle_length=None):
+    def __init__(self, message, *, cycle=None, cycle_length=None, bound=None):
         super().__init__(message)
         self.cycle = cycle
         self.cycle_length = cycle_length
+        self.bound = bound
 
 
 class PolyhedralViolationError(ValueError):
@@ -43,6 +44,10 @@ class PolyhedralViolationError(ValueError):
         super().__init__(message)
         self.user = user
         self.state = state
+
+
+class CertificateError(RuntimeError):
+    """A verdict's certificate failed its check: the program is at fault."""
 
 
 class NonConvergenceError(RuntimeError):

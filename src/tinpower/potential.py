@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Union
 
 from .channel import regular_counterpart, validate
+from .errors import CertificateError
 from .rationals import gdof_tuple, render_rational
 
 U = "u"
@@ -58,8 +59,8 @@ class ShortestPathResult:
 
 def build_full(channel, d) -> PotentialGraph:
     """Graph over every (user, state) pair. Cost grows with state counts, so
-    production paths prefer :func:`build_reduced`; this one serves diagnostics
-    and equivalence tests."""
+    production paths build it on the regular counterpart (one state per
+    user), as :func:`build_reduced` does."""
     validate(channel)
     target = gdof_tuple(d, channel.K)
     K, receivers = channel.K, channel.receivers
@@ -144,7 +145,7 @@ def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
             weight[(cycle[i], cycle[(i + 1) % len(cycle)])]
             for i in range(len(cycle)))
         if length >= 0:
-            raise AssertionError("extracted circuit is not negative")
+            raise CertificateError("extracted circuit is not negative")
         return ShortestPathResult(
             False, None, tuple(graph.vertices[i] for i in cycle), length)
 
@@ -152,6 +153,6 @@ def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
     for k in range(graph.K):
         values = {dist[index[v]] for v in graph.vertices if v != U and v[0] == k}
         if len(values) != 1:
-            raise AssertionError(f"states of user {k} disagree on distance")
+            raise CertificateError(f"states of user {k + 1} disagree on distance")
         l_dst.append(values.pop())
     return ShortestPathResult(True, tuple(l_dst), None, None)

@@ -29,8 +29,9 @@ from .errors import (
     NonConvergenceError,
     PolyhedralViolationError,
 )
-from .potential import build_reduced, shortest_paths
+from .potential import U
 from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
+from .region import decide
 
 ZERO = Fraction(0)
 
@@ -75,22 +76,14 @@ def achieved_gdof_polyhedral(channel, r) -> tuple[Fraction, ...]:
     return out
 
 
-def _require_positive(d) -> None:
-    if any(x == 0 for x in d):
+def _control(channel, d, algorithm):
+    """:func:`solve_power` for targets that must all be positive."""
+    if 0 in gdof_tuple(d, channel.K):
         raise ValueError(
             "targets must be strictly positive here; deactivate zero-GDoF "
             "users first (see solve_power)")
-
-
-def _initial_allocation(channel, d) -> tuple[Fraction, ...]:
-    """Shortest-path start; raises with the circuit witness when infeasible."""
-    sp = shortest_paths(build_reduced(channel, d))
-    if not sp.feasible:
-        raise InfeasibleTargetError(
-            f"target ({', '.join(map(render_rational, d))}) is outside the "
-            f"polyhedral region",
-            cycle=sp.negative_cycle, cycle_length=sp.cycle_length)
-    return sp.l_dst
+    sol = solve_power(channel, d, algorithm)
+    return sol.allocation, sol.trace
 
 
 @dataclass(frozen=True)
@@ -112,10 +105,10 @@ def gsfpc(channel, d) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     iterates decrease and reach an exact fixed point, which is locally optimal
     and dominates every local optimum below the start.
     """
-    a = regular_counterpart(channel).matrix
-    d = gdof_tuple(d, channel.K)
-    _require_positive(d)
-    r = _initial_allocation(channel, d)
+    return _control(channel, d, "gsfpc")
+
+
+def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     iterates = [r]
     for n in range(GSFPC_MAX_ITERATIONS):
         nxt = tuple(r[k] + d[k] - _rate_exponent(row, r, k) for k, row in enumerate(a))
@@ -156,12 +149,12 @@ def ggpc(channel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     from the regular counterpart's rows, which equal each user's worst state,
     so every user ends with at least one state meeting its target exactly.
     """
-    a = regular_counterpart(channel).matrix
-    d = gdof_tuple(d, channel.K)
-    _require_positive(d)
-    r0 = _initial_allocation(channel, d)
+    return _control(channel, d, "ggpc")
+
+
+def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     r = list(r0)
-    active = set(range(channel.K))
+    active = set(range(len(a)))
     fixed: list[int] = []
     updates: list[GgpcUpdate] = []
     while active:
@@ -295,10 +288,13 @@ ALGORITHMS = ("sp", "gsfpc", "ggpc", "ggpc-c")
 def solve_power(channel, d, algorithm: str) -> PowerSolution:
     """Run one of the named controls, deactivating zero-target users first.
 
-    "sp" returns the shortest-path allocation itself. "ggpc" and "ggpc-c" run
-    the same control, which reads the regular counterpart either way; "ggpc"
-    on a multi-state channel flags this in ``via_counterpart``, "ggpc-c" does
-    not.
+    Every control starts from the shortest-path allocation ("sp" returns it)
+    that ``decide`` gives on the active subnetwork. Its counterpart is a
+    submatrix of the channel's, so an infeasible target's circuit and bound,
+    renumbered to the channel's users, keep their length and rhs. "ggpc" and
+    "ggpc-c" run the same control, which reads the regular counterpart
+    either way; "ggpc" on a multi-state channel flags this in
+    ``via_counterpart``, "ggpc-c" does not.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -309,15 +305,21 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     if not active:
         return PowerSolution(algorithm, (None,) * channel.K, silent, False, None)
     sub = subnetwork(channel, active) if silent else channel
-    d_sub = [d[i] for i in active]
-
-    trace: GgpcTrace | GsfpcTrace | None = None
-    if algorithm == "sp":
-        r_sub = _initial_allocation(sub, gdof_tuple(d_sub))
-    elif algorithm == "gsfpc":
-        r_sub, trace = gsfpc(sub, d_sub)
-    else:
-        r_sub, trace = ggpc(sub, d_sub)
+    d_sub = tuple(d[i] for i in active)
+    verdict = decide(sub, d_sub)
+    if not verdict.sp.feasible:
+        raise InfeasibleTargetError(
+            f"target ({', '.join(map(render_rational, d))}) is outside the "
+            f"polyhedral region",
+            cycle=tuple(v if v == U else (active[v[0]], v[1])
+                        for v in verdict.sp.negative_cycle),
+            cycle_length=verdict.sp.cycle_length,
+            bound=verdict.bound.relabel(active))
+    r_sub, trace = verdict.sp.l_dst, None
+    if algorithm == "gsfpc":
+        r_sub, trace = _gsfpc(verdict.counterpart.matrix, d_sub, r_sub)
+    elif algorithm != "sp":
+        r_sub, trace = _ggpc(verdict.counterpart.matrix, d_sub, r_sub)
     via_counterpart = algorithm == "ggpc" and not is_regular(sub)
 
     allocation: list[Fraction | None] = [None] * channel.K

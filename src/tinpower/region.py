@@ -2,11 +2,11 @@
 
 The region with all users active is cut out by per-user upper bounds plus one
 sum bound per cyclic sequence of users; state uncertainty collapses through
-the regular counterpart. Yes/no questions (membership, Pareto optimality) are
-decided on the reduced potential graph, whose circuits are exactly these
-bounds; the sum and symmetric optima solve one LP over its potentials (Geng,
-Naderializadeh, Avestimehr and Jafar, IEEE T-IT 2015). The enumerated list
-serves only the export. Everything here is exact rational arithmetic.
+the regular counterpart. Every yes/no question is decided by :func:`decide`
+on its potential graph, whose circuits are exactly these bounds; the sum
+and symmetric optima solve one LP over its potentials (Geng, Naderializadeh,
+Avestimehr and Jafar, IEEE T-IT 2015). The enumerated list serves only the
+export. Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .channel import CompoundChannel, regular_counterpart, subnetwork
+from .channel import CompoundChannel, RegularChannel, regular_counterpart, subnetwork
 from .errors import EmptyRegionError, GuardExceededError
 from .potential import (
     U,
     PotentialGraph,
     ShortestPathResult,
+    build_full,
     build_reduced,
     shortest_paths,
 )
@@ -53,6 +54,10 @@ class Constraint:
 
     def holds(self, d) -> bool:
         return self.lhs(d) <= self.rhs
+
+    def relabel(self, users) -> "Constraint":
+        return Constraint(tuple(users[i] for i in self.users), self.rhs,
+                          self.cycle and tuple(users[i] for i in self.cycle))
 
     def export_line(self, K: int) -> str:
         members = set(self.users)
@@ -117,9 +122,9 @@ def region_constraints(channel: CompoundChannel) -> RegionConstraints:
         unique.values(), key=lambda c: (len(c.users), c.users, c.rhs))))
 
 
-def circuit_bound(channel, circuit) -> Constraint:
-    """The region bound that a negative circuit of ``build_reduced(channel,
-    d)`` shows ``d`` to violate.
+def circuit_bound(a, circuit) -> Constraint:
+    """The region bound that a negative circuit of the potential graph of
+    the counterpart matrix ``a`` shows its target to violate.
 
     The circuit's users, in circuit order and rotated to start at the
     smallest, form that bound's cyclic sequence: a circuit over users alone
@@ -130,23 +135,41 @@ def circuit_bound(channel, circuit) -> Constraint:
     """
     users = [v[0] for v in circuit if v != U]
     first = users.index(min(users))
-    return cycle_bound(regular_counterpart(channel).matrix,
-                       users[first:] + users[:first])
+    return cycle_bound(a, users[first:] + users[:first])
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Bellman-Ford's answer on the counterpart's potential graph; for a
+    "no", ``bound`` is the bound its circuit names (:func:`circuit_bound`)."""
+
+    counterpart: RegularChannel
+    graph: PotentialGraph
+    sp: ShortestPathResult
+    bound: Constraint | None
+
+
+def decide(channel, d) -> Verdict:
+    """Is ``d`` in the region with every user active? The one decision route:
+    the counterpart is built once and serves the graph and the bound."""
+    cp = regular_counterpart(channel)
+    graph = build_full(cp, d)
+    sp = shortest_paths(graph)
+    bound = None if sp.feasible else circuit_bound(cp.matrix, sp.negative_cycle)
+    return Verdict(cp, graph, sp, bound)
 
 
 def member(channel, d, constraints: RegionConstraints | None = None,
            ) -> tuple[bool, Constraint | None]:
     """Region membership; on failure also returns one violated inequality.
 
-    Decided by Bellman-Ford on the reduced potential graph, whose negative
-    circuit names the violated bound. An explicit ``constraints`` list is
-    scanned instead, in order (the enumeration reference).
+    Decided by :func:`decide`, whose negative circuit names the violated
+    bound. An explicit ``constraints`` list is scanned instead, in order (the
+    enumeration reference).
     """
     if constraints is None:
-        sp = shortest_paths(build_reduced(channel, d))
-        if sp.feasible:
-            return True, None
-        return False, circuit_bound(channel, sp.negative_cycle)
+        verdict = decide(channel, d)
+        return verdict.sp.feasible, verdict.bound
     target = gdof_tuple(d, constraints.K)
     for c in constraints.constraints:
         if not c.holds(target):
@@ -164,15 +187,13 @@ def member_star(channel: CompoundChannel, d) -> bool:
     """
     target = gdof_tuple(d, channel.K)
     active = [i for i, x in enumerate(target) if x > 0]
-    if not active:
-        return True
-    ok, _ = member(subnetwork(channel, active), [target[i] for i in active])
-    return ok
+    return not active or decide(
+        subnetwork(channel, active), [target[i] for i in active]).sp.feasible
 
 
-def tight_users(graph: PotentialGraph, sp: ShortestPathResult) -> frozenset[int]:
-    """Users on some tight region bound at a feasible target: exactly the
-    users on a zero-length circuit of its potential graph.
+def improvable_users(verdict: Verdict) -> tuple[int, ...]:
+    """The users a member target can still raise alone: those on no tight
+    region bound, i.e. on no zero-length circuit of its potential graph.
 
     Under the shortest-path potentials (``l[u] = 0``) every reduced edge
     length ``w + l[s] - l[t]`` is >= 0 and a circuit's length is the sum of
@@ -180,6 +201,7 @@ def tight_users(graph: PotentialGraph, sp: ShortestPathResult) -> frozenset[int]
     zero-reduced edges. A vertex lies on one when it reaches itself in the
     transitive closure of those edges (Warshall's algorithm on bit rows).
     """
+    graph, sp = verdict.graph, verdict.sp
     level = {v: ZERO if v == U else sp.l_dst[v[0]] for v in graph.vertices}
     index = {v: i for i, v in enumerate(graph.vertices)}
     reach = [0] * len(graph.vertices)
@@ -190,24 +212,22 @@ def tight_users(graph: PotentialGraph, sp: ShortestPathResult) -> frozenset[int]
         for i in range(len(reach)):
             if reach[i] >> k & 1:
                 reach[i] |= reach[k]
-    return frozenset(
-        v[0] for v, i in index.items() if v != U and reach[i] >> i & 1)
+    tight = {v[0] for v, i in index.items() if v != U and reach[i] >> i & 1}
+    return tuple(k for k in range(graph.K) if k not in tight)
 
 
 def pareto(channel, d, constraints: RegionConstraints | None = None) -> bool:
     """True when no single coordinate can be increased while staying in the
     region, i.e. every user participates in some tight constraint.
 
-    Decided on the reduced potential graph (:func:`tight_users`); an
-    explicit ``constraints`` list is scanned instead (the enumeration
-    reference).
+    Decided by :func:`decide` and :func:`improvable_users`; an explicit
+    ``constraints`` list is scanned instead (the enumeration reference).
     """
     if constraints is None:
-        graph = build_reduced(channel, d)
-        sp = shortest_paths(graph)
-        if sp.feasible:
-            return len(tight_users(graph, sp)) == channel.K
-        violated = circuit_bound(channel, sp.negative_cycle)
+        verdict = decide(channel, d)
+        if verdict.sp.feasible:
+            return not improvable_users(verdict)
+        violated = verdict.bound
     else:
         target = gdof_tuple(d, constraints.K)
         ok, violated = member(channel, target, constraints)

@@ -9,6 +9,8 @@ import pytest
 import tinpower as tp
 from tinpower.cli import ALGORITHMS, load_channel_file, main
 
+from fixtures import grid_value, random_compound
+
 CHANNELS = Path(__file__).parent.parent / "channels"
 
 
@@ -344,22 +346,115 @@ def test_debug_graph_dump(capsys):
 
 def test_certificate_failure_exits_3(capsys, monkeypatch):
     # Bellman-Ford cannot return a wrong verdict for real inputs, so force
-    # one: an allocation that misses the target, then a circuit whose bound
-    # the target satisfies
-    import tinpower.cli as cli
+    # one through the one decision route: a start from which even ggpc
+    # misses the target, then a circuit whose bound the target satisfies;
+    # every command that reads a verdict must refuse both
+    import tinpower.region as region
 
     bogus = [
-        tp.ShortestPathResult(True, (F(-10),) * 3, None, None),
+        tp.ShortestPathResult(True, (F(-10), F(-10), F(0)), None, None),
         tp.ShortestPathResult(False, None, ((0, 0), (1, 0)), F(-1)),
     ]
-    for sp in bogus:
-        monkeypatch.setattr(cli, "shortest_paths", lambda graph: sp)
+    for command, *flags in [["feasible"], ["pareto"], ["power", "--alg", "sp"],
+                            ["power", "--alg", "ggpc"],
+                            ["rates", "--alg", "ggpc", "--P", "100"]]:
+        for sp in bogus:
+            monkeypatch.setattr(region, "shortest_paths", lambda graph: sp)
+            code, out, err = run(
+                capsys, command, "--channel", str(CHANNELS / "asym3.json"),
+                "--target", "1,1,1", *flags)
+            assert code == 3, (command, flags, sp.feasible)
+            assert out == ""
+            assert "internal check failure" in err and "Traceback" not in err
+
+
+def test_inconsistent_bellman_ford_exits_3(capsys, monkeypatch):
+    # shortest_paths' own consistency checks: a circuit found by relaxation
+    # whose recomputed length is not negative (a parallel edge overrides the
+    # relaxed one in the length table), and two states of one user at
+    # different distances
+    import tinpower.region as region
+
+    a, b = (0, 0), (1, 0)
+    graphs = [
+        tp.PotentialGraph(2, (a, b, tp.U), (
+            (tp.U, a, F(0)), (tp.U, b, F(0)), (a, b, F(-5)), (b, a, F(1)),
+            (a, b, F(5)))),
+        tp.PotentialGraph(1, ((0, 0), (0, 1), tp.U), (
+            (tp.U, (0, 0), F(0)), (tp.U, (0, 1), F(-1)))),
+    ]
+    for graph, message in zip(graphs, ["is not negative", "user 1 disagree"]):
+        monkeypatch.setattr(region, "build_full", lambda channel, d: graph)
         code, out, err = run(
             capsys, "feasible", "--channel", str(CHANNELS / "asym3.json"),
             "--target", "1,1,1")
         assert code == 3
         assert out == ""
-        assert "internal check failure" in err
+        assert "internal check failure: " in err and message in err
+        assert "Traceback" not in err
+
+
+def _parse_vertex(label):
+    if label == "u":
+        return tp.U
+    user, state = re.fullmatch(r"v(\d+)\[(\d+)\]", label).groups()
+    return int(user) - 1, int(state) - 1
+
+
+def test_power_infeasible_with_silent_users_uses_full_numbering(capsys):
+    # the shortest-path start runs on the subnetwork of users 3 (and 2);
+    # the report names them as users of the whole channel
+    flags = ["--channel", str(CHANNELS / "asym3.json"), "--alg", "sp"]
+    code, out, _ = run(capsys, "power", *flags, "--target", "0,0,3")
+    assert code == 1
+    assert out == (
+        "infeasible target: target (0, 0, 3) is outside the polyhedral region\n")
+    code, out, _ = run(capsys, "power", *flags, "--target", "0,0,3", "--json")
+    doc = json.loads(out)
+    assert doc["negative_cycle"]["vertices"] == ["v3[1]", "u"]
+    assert doc["violated_constraint"]["inequality"] == "0*d1 + 0*d2 + 1*d3 <= 1"
+    code, out, _ = run(capsys, "power", *flags, "--target", "0,2,3", "--json")
+    doc = json.loads(out)
+    assert doc["target"] == ["0", "2", "3"]
+    assert doc["negative_cycle"] == {"vertices": ["v3[1]", "v2[1]"], "length": "-2.8"}
+    assert doc["violated_constraint"]["inequality"] == "0*d1 + 1*d2 + 1*d3 <= 2.2"
+
+
+def test_power_infeasible_circuit_is_one_of_the_full_graph_seeded(tmp_path, capsys):
+    # multi-state channels and targets with zero entries: power's circuit,
+    # read back from its report, is a negative circuit of the full reduced
+    # graph of the same length, its bound is violated, and feasible says no
+    rng = random.Random(67)
+    seen = 0
+    for n in range(40):
+        K = 2 + n % 4
+        ch = random_compound(rng, K=K)
+        path = write(tmp_path, f"c{n}.json", {"K": K, "receivers": [
+            {"states": [[str(x) for x in vec] for vec in states]}
+            for states in ch.receivers]})
+        for _ in range(3):
+            d = [grid_value(rng, F(3)) for _ in range(K)]
+            d[rng.randrange(K)] = F(0)
+            target = ",".join(map(tp.render_rational, d))
+            code, out, _ = run(capsys, "power", "--channel", path, "--target",
+                               target, "--alg", "sp", "--json")
+            if code == 0:
+                continue
+            assert code == 1
+            seen += 1
+            doc = json.loads(out)
+            cycle = [_parse_vertex(v) for v in doc["negative_cycle"]["vertices"]]
+            assert all(v == tp.U or d[v[0]] > 0 for v in cycle)
+            weight = {(s, t): w for s, t, w in tp.build_reduced(ch, d).edges}
+            length = sum(weight[cycle[i], cycle[(i + 1) % len(cycle)]]
+                         for i in range(len(cycle)))
+            assert length < 0
+            assert tp.render_rational(length) == doc["negative_cycle"]["length"]
+            bound = doc["violated_constraint"]
+            assert sum(d[u - 1] for u in bound["users"]) > F(bound["rhs"])
+            assert run(capsys, "feasible", "--channel", path,
+                       "--target", target)[0] == 1
+    assert seen >= 100  # 111 of the 120 targets are infeasible
 
 
 def test_yes_no_commands_never_enumerate(capsys, monkeypatch):

@@ -225,7 +225,7 @@ def test_membership_matches_graph_feasibility_random():
 
 
 def test_graph_verdicts_match_enumeration_seeded():
-    # the graph route (member, pareto, tight_users) against the enumerated
+    # the graph route (member, pareto, improvable_users) against the enumerated
     # inequality list on multi-state channels up to K = 7, at grid,
     # symmetric, frontier and sum-maximizer targets; direct strengths of 1
     # and cross strengths <= 1 keep every region non-empty
@@ -247,11 +247,10 @@ def test_graph_verdicts_match_enumeration_seeded():
                 with pytest.raises(ValueError, match="requires a member tuple"):
                     tp.pareto(ch, d)
                 continue
-            graph = tp.build_reduced(ch, d)
-            tight = tp.tight_users(graph, tp.shortest_paths(graph))
-            assert tight == {u for c in cons.constraints if c.slack(d) == 0
-                             for u in c.users}
-            assert tp.pareto(ch, d) == tp.pareto(ch, d, cons) == (len(tight) == ch.K)
+            improvable = set(tp.improvable_users(tp.decide(ch, d)))
+            assert set(range(ch.K)) - improvable == {
+                u for c in cons.constraints if c.slack(d) == 0 for u in c.users}
+            assert tp.pareto(ch, d) == tp.pareto(ch, d, cons) == (not improvable)
 
 
 def test_optima_match_vertex_enumeration_seeded():
