@@ -3,8 +3,8 @@
 Every invocation loads a JSON channel file, runs one command and prints a
 report (human text by default, machine JSON with --json; the two carry the
 same numbers). Exit codes: 0 success, 1 negative verdict on a yes/no query,
-2 input or parse problems, 3 a feasible, pareto, power or rates verdict
-whose certificate failed its independent check (one check: ``_certify``).
+2 input or parse problems, 3 a verdict whose certificate failed its check
+(a ``CertificateError``, raised where the library builds it or by ``_certify``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .channel import (
     TinViolation,
     _distinct,
     regular_counterpart,
-    subnetwork,
     tin_optimal,
     validate,
 )
@@ -38,7 +37,6 @@ from .power import (
     ALGORITHMS,
     GgpcTrace,
     GsfpcTrace,
-    PowerSolution,
     achieved_gdof,
     solve_power,
 )
@@ -252,15 +250,10 @@ def cmd_counterpart(args) -> int:
     return EXIT_OK
 
 
-def _certify(d, *, achieved=None, bound=None) -> None:
-    """The one check of a verdict's certificate: a "no" bound (evaluated on
-    the counterpart matrix) must be strictly violated by ``d``, and a "yes"
-    allocation's per-state ``achieved_gdof`` must reach ``d``."""
-    if bound is not None:
-        if bound.holds(d):
-            raise CertificateError(
-                f"the target satisfies the circuit's bound {bound.export_line(len(d))}")
-    elif any(a < t for a, t in zip(achieved, d, strict=True)):
+def _certify(channel, d, allocation) -> None:
+    """A "yes" allocation of ``decide`` must reach ``d`` in every state (left
+    to the caller, so that the controls starting from it check only theirs)."""
+    if any(a < t for a, t in zip(achieved_gdof(channel, allocation), d, strict=True)):
         raise CertificateError("the allocation does not achieve the target")
 
 
@@ -278,13 +271,12 @@ def cmd_feasible(args) -> int:
         "feasible": sp.feasible,
     }
     if sp.feasible:
-        _certify(d, achieved=achieved_gdof(cf.channel, sp.l_dst))
+        _certify(cf.channel, d, sp.l_dst)
         data["l_dst"] = _render_vec(sp.l_dst)
         text = (
             f"target ({', '.join(_render_vec(d))}): feasible; "
             f"shortest-path allocation ({', '.join(_render_vec(sp.l_dst))})")
     else:
-        _certify(d, bound=violated)
         data["violated_constraint"] = _constraint_data(violated, cf.channel.K)
         data["negative_cycle"] = _cycle_data(sp.negative_cycle, sp.cycle_length)
         text = (
@@ -333,13 +325,12 @@ def cmd_pareto(args) -> int:
         "member": verdict.sp.feasible,
     }
     if not verdict.sp.feasible:
-        _certify(d, bound=verdict.bound)
         data["pareto"] = False
         data["violated_constraint"] = _constraint_data(verdict.bound, K)
         Report(data, f"not in the region: violates "
                      f"{verdict.bound.export_line(K)}").emit(args.json)
         return EXIT_NEGATIVE
-    _certify(d, achieved=achieved_gdof(cf.channel, verdict.sp.l_dst))
+    _certify(cf.channel, d, verdict.sp.l_dst)
     improvable = improvable_users(verdict)
     is_pareto = not improvable
     data["pareto"] = is_pareto
@@ -376,17 +367,6 @@ def _trace_data(trace) -> dict | None:
     }
 
 
-def _solution_achieved(channel, sol: PowerSolution) -> tuple[Fraction, ...]:
-    active = [i for i in range(channel.K) if sol.allocation[i] is not None]
-    out = [Fraction(0)] * channel.K
-    if active:
-        values = achieved_gdof(
-            subnetwork(channel, active), [sol.allocation[i] for i in active])
-        for pos, user in enumerate(active):
-            out[user] = values[pos]
-    return tuple(out)
-
-
 def cmd_power(args) -> int:
     cf = load_channel_file(args.channel)
     d = _parse_target(args, cf.channel)
@@ -397,7 +377,6 @@ def cmd_power(args) -> int:
     try:
         sol = solve_power(cf.channel, d, args.alg)
     except InfeasibleTargetError as exc:
-        _certify(d, bound=exc.bound)
         data = {
             "command": "power",
             "channel": cf.name,
@@ -409,8 +388,6 @@ def cmd_power(args) -> int:
         }
         Report(data, f"infeasible target: {exc}").emit(args.json)
         return EXIT_NEGATIVE
-    achieved = _solution_achieved(cf.channel, sol)
-    _certify(d, achieved=achieved)
     rendered = [
         "silent" if x is None else render_rational(x) for x in sol.allocation]
     data = {
@@ -422,11 +399,11 @@ def cmd_power(args) -> int:
         "via_counterpart": sol.via_counterpart,
         "allocation": rendered,
         "silent_users": _users(sol.silent),
-        "achieved": _render_vec(achieved),
+        "achieved": _render_vec(sol.achieved),
         "trace": _trace_data(sol.trace),
     }
     lines = [f"allocation ({', '.join(rendered)}) achieves "
-             f"({', '.join(_render_vec(achieved))})"]
+             f"({', '.join(_render_vec(sol.achieved))})"]
     if sol.via_counterpart:
         lines.append("note: multi-state input solved through its regular counterpart")
     if sol.silent:
@@ -452,6 +429,8 @@ def _parse_p_list(args) -> list[float]:
 def cmd_rates(args) -> int:
     cf = load_channel_file(args.channel)
     powers = _parse_p_list(args)
+    if args.target and not args.alg:
+        raise CliInputError("--target is read only with --alg")
     named: list[tuple[str, tuple[Fraction, ...]]] = []
     if args.alloc:
         try:
@@ -475,10 +454,8 @@ def cmd_rates(args) -> int:
                 try:
                     sol = solve_power(cf.channel, d, alg)
                 except InfeasibleTargetError as exc:
-                    _certify(d, bound=exc.bound)
                     print(f"infeasible target: {exc}")
                     return EXIT_NEGATIVE
-                _certify(d, achieved=achieved_gdof(cf.channel, sol.allocation))
                 name = alg if len(targets) == 1 else (
                     f"{alg}@{'-'.join(_render_vec(d))}")
                 named.append((name, tuple(sol.allocation)))
@@ -498,32 +475,39 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
+FLAGS = {
+    "--target": {"help": "GDoF target d1,d2,..."},
+    "--alg": {"help": "algorithm name(s): sp,gsfpc,ggpc,ggpc-c"},
+    "--alloc": {"help": "explicit exponents r1,r2,..."},
+    "--P": {"help": "nominal powers p1,p2,..."},
+    "--json": {"action": "store_true", "help": "machine JSON output"},
+    "--debug-graph": {"action": "store_true", "help": "dump potential graphs to stderr"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tinpower",
         description="Analyze K-user interference channels under "
                     "treat-interference-as-noise operation.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command declares exactly the flags its handler reads
     commands = {
-        "validate": (cmd_validate, "check a channel file"),
-        "tin-check": (cmd_tin_check, "test the weak-interference condition"),
-        "counterpart": (cmd_counterpart, "emit the single-state counterpart"),
-        "feasible": (cmd_feasible, "test a GDoF target"),
-        "region": (cmd_region, "export the region inequalities"),
-        "pareto": (cmd_pareto, "test Pareto optimality of a target"),
-        "power": (cmd_power, "compute a power allocation"),
-        "rates": (cmd_rates, "finite-SNR rate table (CSV)"),
+        "validate": (cmd_validate, "check a channel file", "--json"),
+        "tin-check": (cmd_tin_check, "test the weak-interference condition", "--json"),
+        "counterpart": (cmd_counterpart, "emit the single-state counterpart", "--json"),
+        "feasible": (cmd_feasible, "test a GDoF target", "--target --json --debug-graph"),
+        "region": (cmd_region, "export the region inequalities", "--json"),
+        "pareto": (cmd_pareto, "test Pareto optimality of a target", "--target --json"),
+        "power": (cmd_power, "compute a power allocation",
+                  "--target --alg --json --debug-graph"),
+        "rates": (cmd_rates, "finite-SNR rate table (CSV)", "--target --alg --alloc --P"),
     }
-    for name, (handler, help_text) in commands.items():
+    for name, (handler, help_text, declared) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--channel", required=True, help="channel JSON file")
-        p.add_argument("--target", help="GDoF target d1,d2,...")
-        p.add_argument("--alg", help="algorithm name(s): sp,gsfpc,ggpc,ggpc-c")
-        p.add_argument("--alloc", help="explicit exponents r1,r2,...")
-        p.add_argument("--P", help="nominal powers p1,p2,...")
-        p.add_argument("--json", action="store_true", help="machine JSON output")
-        p.add_argument("--debug-graph", action="store_true",
-                       help="dump potential graphs to stderr")
+        for flag in declared.split():
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(handler=handler)
     return parser
 

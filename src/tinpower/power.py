@@ -24,6 +24,7 @@ import numpy as np
 
 from .channel import is_regular, regular_counterpart, subnetwork, validate
 from .errors import (
+    CertificateError,
     GuardExceededError,
     InfeasibleTargetError,
     NonConvergenceError,
@@ -272,7 +273,8 @@ class PowerSolution:
     """Allocation with possibly deactivated users.
 
     ``allocation[i]`` is None for users switched off (zero target); they are
-    reported as "silent" rather than with a finite exponent.
+    reported as "silent" rather than with a finite exponent. ``achieved`` is
+    its per-state :func:`achieved_gdof` on the active users, 0 when silent.
     """
 
     algorithm: str
@@ -280,6 +282,7 @@ class PowerSolution:
     silent: tuple[int, ...]
     via_counterpart: bool
     trace: GgpcTrace | GsfpcTrace | None
+    achieved: tuple[Fraction, ...] = ()
 
 
 ALGORITHMS = ("sp", "gsfpc", "ggpc", "ggpc-c")
@@ -294,7 +297,8 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     renumbered to the channel's users, keep their length and rhs. "ggpc" and
     "ggpc-c" run the same control, which reads the regular counterpart
     either way; "ggpc" on a multi-state channel flags this in
-    ``via_counterpart``, "ggpc-c" does not.
+    ``via_counterpart``, "ggpc-c" does not. An allocation whose per-state
+    achieved GDoF misses the target raises :class:`CertificateError`.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
@@ -303,7 +307,8 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     active = [i for i, x in enumerate(d) if x > 0]
     silent = tuple(i for i, x in enumerate(d) if x == 0)
     if not active:
-        return PowerSolution(algorithm, (None,) * channel.K, silent, False, None)
+        return PowerSolution(algorithm, (None,) * channel.K, silent, False, None,
+                             (ZERO,) * channel.K)
     sub = subnetwork(channel, active) if silent else channel
     d_sub = tuple(d[i] for i in active)
     verdict = decide(sub, d_sub)
@@ -321,8 +326,13 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     elif algorithm != "sp":
         r_sub, trace = _ggpc(verdict.counterpart.matrix, d_sub, r_sub)
     via_counterpart = algorithm == "ggpc" and not is_regular(sub)
+    achieved_sub = achieved_gdof(sub, r_sub)
+    if any(a < t for a, t in zip(achieved_sub, d_sub)):
+        raise CertificateError("the allocation does not achieve the target")
 
     allocation: list[Fraction | None] = [None] * channel.K
+    achieved = [ZERO] * channel.K
     for pos, user in enumerate(active):
-        allocation[user] = r_sub[pos]
-    return PowerSolution(algorithm, tuple(allocation), silent, via_counterpart, trace)
+        allocation[user], achieved[user] = r_sub[pos], achieved_sub[pos]
+    return PowerSolution(algorithm, tuple(allocation), silent, via_counterpart, trace,
+                         tuple(achieved))

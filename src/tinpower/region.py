@@ -16,15 +16,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .channel import CompoundChannel, RegularChannel, regular_counterpart, subnetwork
-from .errors import EmptyRegionError, GuardExceededError
-from .potential import (
-    U,
-    PotentialGraph,
-    ShortestPathResult,
-    build_full,
-    build_reduced,
-    shortest_paths,
-)
+from .errors import CertificateError, EmptyRegionError, GuardExceededError
+from .potential import U, PotentialGraph, ShortestPathResult, build_full, shortest_paths
 from .rationals import gdof_tuple, render_rational
 
 # Cyclic-sequence counts grow super-exponentially; beyond this only the graph
@@ -148,14 +141,29 @@ class Verdict:
     sp: ShortestPathResult
     bound: Constraint | None
 
+    def reduced_edges(self) -> list[tuple]:
+        """A "yes" verdict's edges ``(s, t, w + l[s] - l[t])`` under its
+        potentials (``l[u] = 0``); as a circuit is as long as the sum of its
+        reduced lengths, these being >= 0 certifies the "yes" (else raises)."""
+        level = {v: ZERO if v == U else self.sp.l_dst[v[0]] for v in self.graph.vertices}
+        edges = [(s, t, w + level[s] - level[t]) for s, t, w in self.graph.edges]
+        if any(x < 0 for _, _, x in edges):
+            raise CertificateError("the shortest-path potentials leave a negative edge")
+        return edges
+
 
 def decide(channel, d) -> Verdict:
     """Is ``d`` in the region with every user active? The one decision route:
-    the counterpart is built once and serves the graph and the bound."""
+    the counterpart is built once and serves the graph and the bound, which
+    ``d`` must strictly violate (else :class:`CertificateError`)."""
     cp = regular_counterpart(channel)
+    d = gdof_tuple(d, cp.K)
     graph = build_full(cp, d)
     sp = shortest_paths(graph)
     bound = None if sp.feasible else circuit_bound(cp.matrix, sp.negative_cycle)
+    if bound is not None and bound.holds(d):
+        raise CertificateError(
+            f"the target satisfies the circuit's bound {bound.export_line(cp.K)}")
     return Verdict(cp, graph, sp, bound)
 
 
@@ -164,11 +172,14 @@ def member(channel, d, constraints: RegionConstraints | None = None,
     """Region membership; on failure also returns one violated inequality.
 
     Decided by :func:`decide`, whose negative circuit names the violated
-    bound. An explicit ``constraints`` list is scanned instead, in order (the
+    bound and whose "yes" is checked by :meth:`Verdict.reduced_edges`. An
+    explicit ``constraints`` list is scanned instead, in order (the
     enumeration reference).
     """
     if constraints is None:
         verdict = decide(channel, d)
+        if verdict.sp.feasible:
+            verdict.reduced_edges()
         return verdict.sp.feasible, verdict.bound
     target = gdof_tuple(d, constraints.K)
     for c in constraints.constraints:
@@ -187,33 +198,30 @@ def member_star(channel: CompoundChannel, d) -> bool:
     """
     target = gdof_tuple(d, channel.K)
     active = [i for i, x in enumerate(target) if x > 0]
-    return not active or decide(
-        subnetwork(channel, active), [target[i] for i in active]).sp.feasible
+    return not active or member(
+        subnetwork(channel, active), [target[i] for i in active])[0]
 
 
 def improvable_users(verdict: Verdict) -> tuple[int, ...]:
     """The users a member target can still raise alone: those on no tight
     region bound, i.e. on no zero-length circuit of its potential graph.
 
-    Under the shortest-path potentials (``l[u] = 0``) every reduced edge
-    length ``w + l[s] - l[t]`` is >= 0 and a circuit's length is the sum of
-    its reduced lengths, so the zero-length circuits are the circuits of
-    zero-reduced edges. A vertex lies on one when it reaches itself in the
-    transitive closure of those edges (Warshall's algorithm on bit rows).
+    Every reduced edge length is >= 0 (:meth:`Verdict.reduced_edges`), so
+    the zero-length circuits are the circuits of zero-reduced edges. A
+    vertex lies on one when it reaches itself in the transitive closure of
+    those edges (Warshall's algorithm on bit rows).
     """
-    graph, sp = verdict.graph, verdict.sp
-    level = {v: ZERO if v == U else sp.l_dst[v[0]] for v in graph.vertices}
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    reach = [0] * len(graph.vertices)
-    for s, t, w in graph.edges:
-        if w + level[s] - level[t] == 0:
+    index = {v: i for i, v in enumerate(verdict.graph.vertices)}
+    reach = [0] * len(index)
+    for s, t, x in verdict.reduced_edges():
+        if x == 0:
             reach[index[s]] |= 1 << index[t]
     for k in range(len(reach)):
         for i in range(len(reach)):
             if reach[i] >> k & 1:
                 reach[i] |= reach[k]
     tight = {v[0] for v, i in index.items() if v != U and reach[i] >> i & 1}
-    return tuple(k for k in range(graph.K) if k not in tight)
+    return tuple(k for k in range(verdict.graph.K) if k not in tight)
 
 
 def pareto(channel, d, constraints: RegionConstraints | None = None) -> bool:
@@ -247,14 +255,12 @@ def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
     ``d >= 0``, so ``s >= 0`` loses nothing and each rhs, the edge's reduced
     length under ``l0``, is ``>= 0``."""
     K = channel.K
-    graph = build_reduced(channel, (ZERO,) * K)
-    sp = shortest_paths(graph)
-    if not sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
+    verdict = decide(channel, (ZERO,) * K)
+    if not verdict.sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
         raise EmptyRegionError(
             "polyhedral region is empty (a sum bound is negative)")
-    level = {v: ZERO if v == U else sp.l_dst[v[0]] for v in graph.vertices}
     rows = []
-    for src, dst, w in graph.edges:
+    for src, dst, x in verdict.reduced_edges():
         if src == U:
             continue
         coeffs = [ZERO] * (2 * K)
@@ -262,7 +268,7 @@ def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
         coeffs[K + src[0]] += 1
         if dst != U:
             coeffs[K + dst[0]] -= 1
-        rows.append((coeffs, w + level[src] - level[dst]))
+        rows.append((coeffs, x))
     return rows
 
 

@@ -585,6 +585,16 @@ def test_rates_requires_alloc_or_alg(capsys):
     assert code == 2
 
 
+def test_rates_target_needs_alg(capsys):
+    # the target is read only to solve for an allocation; without --alg it
+    # would be ignored
+    code, out, err = run(
+        capsys, "rates", "--channel", str(CHANNELS / "asym3.json"),
+        "--alloc=-0.1,-0.1,-0.1", "--target", "1,1,1", "--P", "1000")
+    assert code == 2 and out == ""
+    assert err == "error: --target is read only with --alg\n"
+
+
 @pytest.mark.parametrize("command, strength, flags", [
     ("validate", float("inf"), []),     # JSON Infinity
     ("validate", float("nan"), []),     # JSON NaN

@@ -2,15 +2,17 @@
 command.
 
 Each example writes one channel document (valid, with one malformed field, or
-with one hostile number) and runs one command on it through ``cli.main``. The
-exit code must stay in {0, 1, 2, 3}, no exception may escape, and every
-``rates`` CSV value must be finite.
+with one hostile number) and runs one command on it through ``cli.main``,
+with flags that command declares. The exit code must stay in {0, 1, 2} (a 3
+would be a failed certificate, a bug), no exception may escape, and every
+``rates`` CSV value must be finite. A flag a command does not declare exits 2.
 """
 
 import contextlib
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,8 +20,20 @@ from hypothesis import strategies as st
 
 from tinpower.cli import ALGORITHMS, main
 
-COMMANDS = ["validate", "tin-check", "counterpart", "feasible", "region",
-            "pareto", "power", "rates"]
+CHANNELS = Path(__file__).parent.parent / "channels"
+
+# every command also takes --channel
+DECLARED = {
+    "validate": {"--json"},
+    "tin-check": {"--json"},
+    "counterpart": {"--json"},
+    "feasible": {"--target", "--json", "--debug-graph"},
+    "region": {"--json"},
+    "pareto": {"--target", "--json"},
+    "power": {"--target", "--alg", "--json", "--debug-graph"},
+    "rates": {"--target", "--alg", "--alloc", "--P"},
+}
+COMMANDS = list(DECLARED)
 
 DIRECT = st.sampled_from(["0.5", "1", "1.5", "2", 2, 1.2])
 CROSS = st.sampled_from(["0", "0.2", "0.5", "1", "1/3", 0, 0.7])
@@ -81,8 +95,9 @@ FLAG_FLAWS = ["long target", "short target", "bad target entry", "long alloc",
 
 @st.composite
 def invocations(draw, malformed):
-    """A command with the flags it needs (target, algorithm, powers and
-    sometimes an explicit allocation), at most one of them flawed."""
+    """A command with the flags it declares, out of target, algorithm,
+    powers, sometimes an explicit allocation, ``--json`` and
+    ``--debug-graph``; at most one of them flawed."""
     doc = draw(channel_documents(malformed))
     K = doc.get("K") if isinstance(doc, dict) else None
     K = K if isinstance(K, int) and 1 <= K <= 3 else 2
@@ -107,14 +122,15 @@ def invocations(draw, malformed):
         algs.append("bogus")
     elif flaw == "bad P":
         powers = draw(BAD_POWERS)
-    flags = ["--target=" + ",".join(target), "--alg=" + ",".join(algs),
-             "--P=" + powers]
+    values = {"--target": ",".join(target), "--alg": ",".join(algs), "--P": powers}
     if flaw == "missing flag":
-        del flags[draw(st.integers(0, 2))]
+        del values[draw(st.sampled_from(sorted(values)))]
     if draw(st.booleans()) or flaw in ("long alloc", "bad alloc entry"):
-        flags.append("--alloc=" + ",".join(alloc))
-    if draw(st.booleans()):
-        flags.append("--json")
+        values["--alloc"] = ",".join(alloc)
+    declared = DECLARED[command]
+    flags = [f"{flag}={value}" for flag, value in values.items() if flag in declared]
+    flags += [flag for flag in ("--json", "--debug-graph")
+              if flag in declared and draw(st.booleans())]
     return doc, command, flags
 
 
@@ -136,3 +152,27 @@ def test_cli_contract_holds_on_generated_documents(tmp_path_factory, malformed, 
         assert header.startswith("alloc,P,user,rate")
         for row in rows:
             assert all(math.isfinite(float(x)) for x in row.split(",")[1:]), row
+
+
+# a call each command completes, to which one undeclared flag is added
+COMPLETE = {
+    "feasible": ["--target", "0.5,0.5"],
+    "pareto": ["--target", "0.5,0.5"],
+    "power": ["--target", "0.5,0.5", "--alg", "ggpc"],
+    "rates": ["--target", "0.5,0.5", "--alg", "ggpc", "--P", "100"],
+}
+FLAG_VALUES = {"--target": "0.5,0.5", "--alg": "sp", "--alloc": "-0.1,-0.1",
+               "--P": "100", "--json": None, "--debug-graph": None}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in COMMANDS for flag in FLAG_VALUES
+    if flag not in DECLARED[command]])
+def test_undeclared_flags_exit_2(capsys, command, flag):
+    value = FLAG_VALUES[flag]
+    argv = [command, "--channel", str(CHANNELS / "comp2.json"), *COMPLETE.get(command, [])]
+    argv.append(flag if value is None else f"{flag}={value}")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err

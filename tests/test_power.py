@@ -5,7 +5,7 @@ import pytest
 
 import tinpower as tp
 
-from fixtures import feasible_grid_target, random_compound, single
+from fixtures import feasible_grid_target, random_compound, random_tin_optimal, single
 from oracles import ggpc_per_state, gsfpc_step_per_state
 
 
@@ -361,3 +361,60 @@ def test_counterpart_preserves_achieved_gdof_random():
 
 def fixtures_grid(rng):
     return F(rng.randint(0, 20), 10)
+
+
+BOGUS_BELLMAN_FORD = {
+    # a start from which even ggpc misses (1, 1, 1) on asym3
+    "start": tp.ShortestPathResult(True, (F(-10), F(-10), F(0)), None, None),
+    # a circuit whose bound (1, 1, 1) satisfies
+    "circuit": tp.ShortestPathResult(False, None, ((0, 0), (1, 0)), F(-1)),
+}
+LIBRARY_VERDICTS = {
+    "member": lambda ch, d: tp.member(ch, d),
+    "member_star": lambda ch, d: tp.member_star(ch, d),
+    "pareto": lambda ch, d: tp.pareto(ch, d),
+    "sum_gdof": lambda ch, d: tp.sum_gdof(ch),
+    "solve_power-sp": lambda ch, d: tp.solve_power(ch, d, "sp"),
+    "solve_power-ggpc": lambda ch, d: tp.solve_power(ch, d, "ggpc"),
+}
+
+
+@pytest.mark.parametrize("bogus", sorted(BOGUS_BELLMAN_FORD))
+@pytest.mark.parametrize("verdict", sorted(LIBRARY_VERDICTS))
+def test_library_verdicts_check_their_certificates(asym3, monkeypatch, verdict, bogus):
+    import tinpower.region as region
+
+    sp = BOGUS_BELLMAN_FORD[bogus]
+    monkeypatch.setattr(region, "shortest_paths", lambda graph: sp)
+    with pytest.raises(tp.CertificateError):
+        LIBRARY_VERDICTS[verdict](asym3, [1, 1, 1])
+
+
+def test_solve_power_reports_per_state_achieved_seeded():
+    # multi-state channels, K 1-5, targets with a zero entry and all zero
+    rng = random.Random(74)
+    solved = 0
+    for n in range(60):
+        K = 1 + n % 5
+        ch = random_tin_optimal(rng, K=K) if n % 2 else random_compound(
+            rng, K=K, alpha_max=F(1), diag_min=F(1, 2))
+        d = feasible_grid_target(rng, ch)
+        if d is None:
+            continue
+        d = list(d)
+        if ch.K > 1:
+            d[rng.randrange(ch.K)] = F(0)
+        for target in (d, [F(0)] * ch.K):
+            active = [i for i, x in enumerate(target) if x > 0]
+            for alg in ("sp", "gsfpc", "ggpc", "ggpc-c"):
+                sol = tp.solve_power(ch, target, alg)
+                expected = [F(0)] * ch.K
+                if active:
+                    values = tp.achieved_gdof(tp.subnetwork(ch, active),
+                                              [sol.allocation[i] for i in active])
+                    for i, value in zip(active, values):
+                        expected[i] = value
+                assert sol.achieved == tuple(expected)
+                assert all(a >= t for a, t in zip(sol.achieved, target))
+                solved += 1
+    assert solved >= 300  # 42 of the 60 channels have a feasible grid target
