@@ -4,8 +4,6 @@ per-receiver state uncertainty."""
 
 from .channel import (
     CompoundChannel,
-    EntrywiseSets,
-    JointStateSet,
     RegularChannel,
     TinViolation,
     from_entrywise_sets,
@@ -40,8 +38,6 @@ from .power import (
     PowerSolution,
     achieved_gdof,
     achieved_gdof_polyhedral,
-    ggpc,
-    gsfpc,
     locally_optimal,
     oracle_globally_optimal,
     solve_power,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ChannelValidationError
-from .rationals import parse_rational
+from .rationals import parse_rational, render_rational
 
 StateVector = tuple[Fraction, ...]
 StateSet = tuple[StateVector, ...]
@@ -120,8 +120,8 @@ def validate(channel: CompoundChannel) -> None:
             for entry in vec:
                 if entry < 0:
                     raise ChannelValidationError(
-                        f"receiver {k} state {l} has negative strength {entry}",
-                        receiver=k, state=l)
+                        f"receiver {k} state {l} has negative strength "
+                        f"{render_rational(entry)}", receiver=k, state=l)
 
 
 def is_regular(channel: CompoundChannel) -> bool:
@@ -198,83 +198,44 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
     return RegularChannel(CompoundChannel(K, tuple((row,) for row in rows)))
 
 
-@dataclass(frozen=True)
-class JointStateSet:
-    """Global uncertainty: a finite set of whole K x K strength matrices."""
-
-    K: int
-    states: tuple[tuple[StateVector, ...], ...]
-
-    @classmethod
-    def from_lists(cls, matrices, K: int | None = None) -> "JointStateSet":
-        parsed = tuple(
-            tuple(tuple(parse_rational(x) for x in row) for row in m)
-            for m in matrices)
-        if not parsed:
-            raise ChannelValidationError("joint state set must be nonempty")
-        n = len(parsed[0]) if K is None else K
-        for idx, m in enumerate(parsed):
-            if len(m) != n or any(len(row) != n for row in m):
-                raise ChannelValidationError(
-                    f"joint state {idx} is not a {n}x{n} matrix", state=idx)
-            for row in m:
-                for entry in row:
-                    if entry < 0:
-                        raise ChannelValidationError(
-                            f"joint state {idx} has negative strength {entry}",
-                            state=idx)
-        return cls(n, parsed)
-
-
-def from_joint_set(joint: JointStateSet) -> CompoundChannel:
-    """Per-receiver projection of a joint uncertainty set.
+def from_joint_set(matrices) -> CompoundChannel:
+    """Per-receiver projection of a joint uncertainty set, given as a
+    nonempty list of K x K strength matrices.
 
     Receivers cannot cooperate, so only the row marginals matter: receiver k's
     state set is the k-th row of each joint matrix, duplicates removed.
     """
-    rows_per_receiver = [
-        [m[k] for m in joint.states] for k in range(joint.K)]
-    return CompoundChannel.from_lists(rows_per_receiver, K=joint.K)
+    if not matrices:
+        raise ChannelValidationError("joint state set must be nonempty")
+    K = len(matrices[0])
+    for idx, m in enumerate(matrices):
+        if len(m) != K:
+            raise ChannelValidationError(
+                f"joint state {idx} has {len(m)} rows, expected {K}", state=idx)
+    return CompoundChannel.from_lists(zip(*matrices))
 
 
-@dataclass(frozen=True)
-class EntrywiseSets:
-    """Independent per-link uncertainty: one finite set per matrix entry."""
+def from_entrywise_sets(grid) -> RegularChannel:
+    """Worst case of independent per-link uncertainty, given as a K x K grid
+    of finite sets: weakest possible direct links, strongest crosses.
 
-    K: int
-    sets: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    @classmethod
-    def from_lists(cls, grid, K: int | None = None) -> "EntrywiseSets":
-        parsed = tuple(
-            tuple(tuple(parse_rational(x) for x in cell) for cell in row)
-            for row in grid)
-        n = len(parsed) if K is None else K
-        if len(parsed) != n or any(len(row) != n for row in parsed):
-            raise ChannelValidationError(f"expected a {n}x{n} grid of sets")
-        for i, row in enumerate(parsed):
-            for j, cell in enumerate(row):
-                if not cell:
-                    raise ChannelValidationError(
-                        f"entry ({i},{j}) has an empty set", receiver=i)
-                for entry in cell:
-                    if entry < 0:
-                        raise ChannelValidationError(
-                            f"entry ({i},{j}) has negative strength {entry}",
-                            receiver=i)
-        return cls(n, parsed)
-
-
-def from_entrywise_sets(sets: EntrywiseSets) -> RegularChannel:
-    """Worst case per link: weakest possible direct links, strongest crosses."""
+    Every entry is checked here, since a cell's max would hide a negative one.
+    """
     matrix = []
-    for i in range(sets.K):
-        row = []
-        for j in range(sets.K):
-            cell = sets.sets[i][j]
-            row.append(min(cell) if i == j else max(cell))
-        matrix.append(tuple(row))
-    return RegularChannel(CompoundChannel(sets.K, tuple((row,) for row in matrix)))
+    for i, row in enumerate(grid):
+        matrix.append([])
+        for j, cell in enumerate(row):
+            values = [parse_rational(x) for x in cell]
+            if not values:
+                raise ChannelValidationError(
+                    f"entry ({i},{j}) has an empty set", receiver=i)
+            low = min(values)
+            if low < 0:
+                raise ChannelValidationError(
+                    f"entry ({i},{j}) has negative strength {render_rational(low)}",
+                    receiver=i)
+            matrix[-1].append(low if i == j else max(values))
+    return RegularChannel.from_matrix(matrix)
 
 
 def subnetwork(channel: CompoundChannel, keep: Sequence[int]) -> CompoundChannel:

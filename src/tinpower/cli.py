@@ -4,7 +4,7 @@ Every invocation loads a JSON channel file, runs one command and prints a
 report (human text by default, machine JSON with --json; the two carry the
 same numbers). Exit codes: 0 success, 1 negative verdict on a yes/no query,
 2 input or parse problems, 3 a verdict whose certificate failed its check
-(a ``CertificateError``, raised where the library builds it or by ``_certify``).
+(a ``CertificateError``, raised where the library builds it).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     CertificateError,
     ChannelValidationError,
     EmptyRegionError,
-    GuardExceededError,
     InfeasibleTargetError,
     NonConvergenceError,
 )
@@ -37,11 +36,11 @@ from .power import (
     ALGORITHMS,
     GgpcTrace,
     GsfpcTrace,
-    achieved_gdof,
+    certify_allocation,
     solve_power,
 )
 from .rates import sweep
-from .rationals import gdof_tuple, parse_rational, render_rational
+from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
 from .region import (
     decide,
     improvable_users,
@@ -250,13 +249,6 @@ def cmd_counterpart(args) -> int:
     return EXIT_OK
 
 
-def _certify(channel, d, allocation) -> None:
-    """A "yes" allocation of ``decide`` must reach ``d`` in every state (left
-    to the caller, so that the controls starting from it check only theirs)."""
-    if any(a < t for a, t in zip(achieved_gdof(channel, allocation), d, strict=True)):
-        raise CertificateError("the allocation does not achieve the target")
-
-
 def cmd_feasible(args) -> int:
     cf = load_channel_file(args.channel)
     d = _parse_target(args, cf.channel)
@@ -271,7 +263,7 @@ def cmd_feasible(args) -> int:
         "feasible": sp.feasible,
     }
     if sp.feasible:
-        _certify(cf.channel, d, sp.l_dst)
+        certify_allocation(cf.channel, sp.l_dst, d)
         data["l_dst"] = _render_vec(sp.l_dst)
         text = (
             f"target ({', '.join(_render_vec(d))}): feasible; "
@@ -330,7 +322,7 @@ def cmd_pareto(args) -> int:
         Report(data, f"not in the region: violates "
                      f"{verdict.bound.export_line(K)}").emit(args.json)
         return EXIT_NEGATIVE
-    _certify(cf.channel, d, verdict.sp.l_dst)
+    certify_allocation(cf.channel, verdict.sp.l_dst, d)
     improvable = improvable_users(verdict)
     is_pareto = not improvable
     data["pareto"] = is_pareto
@@ -434,7 +426,7 @@ def cmd_rates(args) -> int:
     named: list[tuple[str, tuple[Fraction, ...]]] = []
     if args.alloc:
         try:
-            r = tuple(parse_rational(x) for x in args.alloc.split(","))
+            r = power_exponents(args.alloc.split(","), cf.channel.K)
         except ValueError as exc:
             raise CliInputError(f"bad --alloc: {exc}") from None
         named.append(("explicit", r))
@@ -522,8 +514,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ChannelValidationError, GuardExceededError, EmptyRegionError,
-            NonConvergenceError, ValueError) as exc:
+    except (NonConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

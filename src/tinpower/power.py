@@ -61,6 +61,15 @@ def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
     return tuple(max(_worst_state(channel, r, k), ZERO) for k in range(channel.K))
 
 
+def certify_allocation(channel, r, d) -> tuple[Fraction, ...]:
+    """The per-state :func:`achieved_gdof` of allocation ``r``, a "yes"
+    certificate: a miss of the coerced target ``d`` raises CertificateError."""
+    achieved = achieved_gdof(channel, r)
+    if any(a < t for a, t in zip(achieved, d, strict=True)):
+        raise CertificateError("the allocation does not achieve the target")
+    return achieved
+
+
 def achieved_gdof_polyhedral(channel, r) -> tuple[Fraction, ...]:
     """Unclamped variant; raises when some user's rate expression is negative
     (the allocation lies outside the polyhedral-valid set)."""
@@ -77,16 +86,6 @@ def achieved_gdof_polyhedral(channel, r) -> tuple[Fraction, ...]:
     return out
 
 
-def _control(channel, d, algorithm):
-    """:func:`solve_power` for targets that must all be positive."""
-    if 0 in gdof_tuple(d, channel.K):
-        raise ValueError(
-            "targets must be strictly positive here; deactivate zero-GDoF "
-            "users first (see solve_power)")
-    sol = solve_power(channel, d, algorithm)
-    return sol.allocation, sol.trace
-
-
 @dataclass(frozen=True)
 class GsfpcTrace:
     """Fixed-point iteration history: componentwise non-increasing iterates;
@@ -97,19 +96,14 @@ class GsfpcTrace:
     iterations: int
 
 
-def gsfpc(channel, d) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
-    """Synchronous fixed-point power control on any (possibly multi-state)
-    channel.
+def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
+    """Synchronous fixed-point power control on the counterpart matrix ``a``.
 
     Each round sets every user's exponent to the smallest value meeting its
     target against the current interference. From the shortest-path start the
     iterates decrease and reach an exact fixed point, which is locally optimal
     and dominates every local optimum below the start.
     """
-    return _control(channel, d, "gsfpc")
-
-
-def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     iterates = [r]
     for n in range(GSFPC_MAX_ITERATIONS):
         nxt = tuple(r[k] + d[k] - _rate_exponent(row, r, k) for k, row in enumerate(a))
@@ -140,20 +134,16 @@ class GgpcTrace:
     updates: tuple[GgpcUpdate, ...]
 
 
-def ggpc(channel, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
-    """K-update control (Nash/global optimum).
+def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
+    """K-update control (Nash/global optimum) on the counterpart matrix ``a``.
 
     Every update applies the largest uniform power reduction that keeps all
     still-active users at or above target, then freezes the whole argmin set.
     Terminates within K updates; each frozen user achieves its target exactly
-    from the moment it is fixed. On a multi-state channel the margins are read
-    from the regular counterpart's rows, which equal each user's worst state,
-    so every user ends with at least one state meeting its target exactly.
+    from the moment it is fixed. On a multi-state channel the counterpart's
+    rows equal each user's worst state, so every user ends with at least one
+    state meeting its target exactly.
     """
-    return _control(channel, d, "ggpc")
-
-
-def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     r = list(r0)
     active = set(range(len(a)))
     fixed: list[int] = []
@@ -326,9 +316,7 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     elif algorithm != "sp":
         r_sub, trace = _ggpc(verdict.counterpart.matrix, d_sub, r_sub)
     via_counterpart = algorithm == "ggpc" and not is_regular(sub)
-    achieved_sub = achieved_gdof(sub, r_sub)
-    if any(a < t for a, t in zip(achieved_sub, d_sub)):
-        raise CertificateError("the allocation does not achieve the target")
+    achieved_sub = certify_allocation(sub, r_sub, d_sub)
 
     allocation: list[Fraction | None] = [None] * channel.K
     achieved = [ZERO] * channel.K

@@ -128,8 +128,6 @@ class GdofLimitResult:
 def gdof_limit_check(channel, r, P_list) -> GdofLimitResult:
     """Normalized-rate sequences for an increasing list of powers."""
     powers = [float(p) for p in P_list]
-    if not all(1 < p < math.inf for p in powers):
-        raise ValueError("all powers must be finite and exceed 1")
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValueError("P_list must be strictly increasing")
     normalized = []

@@ -60,7 +60,8 @@ def gdof_tuple(values, K: int | None = None) -> tuple[Fraction, ...]:
         raise ValueError(f"expected {K} GDoF entries, got {len(d)}")
     for x in d:
         if x < 0:
-            raise ValueError(f"GDoF values must be non-negative, got {x}")
+            raise ValueError(
+                f"GDoF values must be non-negative, got {render_rational(x)}")
     return d
 
 
@@ -71,7 +72,8 @@ def power_exponents(values, K: int | None = None) -> tuple[Fraction, ...]:
         raise ValueError(f"expected {K} exponents, got {len(r)}")
     for x in r:
         if x > 0:
-            raise ValueError(f"power exponents must be <= 0, got {x}")
+            raise ValueError(
+                f"power exponents must be <= 0, got {render_rational(x)}")
     return r
 
 

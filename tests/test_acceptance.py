@@ -48,7 +48,8 @@ def test_criterion_1_control_trace_reproduction():
     failures = []
     ch = mix3()
     target = (F("0.5"), F("0.6"), F("0.7"))
-    r, trace = tp.ggpc(ch, target)
+    sol = tp.solve_power(ch, target, "ggpc")
+    r, trace = sol.allocation, sol.trace
     _check(failures, trace.r0 == (F("-0.1"), F(0), F("-0.1")),
            f"initial allocation {trace.r0}")
     _check(failures, [u.delta for u in trace.updates] == [F("0.4"), F("0.2"), F("0.5")],
@@ -104,13 +105,13 @@ def test_criterion_3_finite_snr_reproduction():
     failures = []
     ch = sym4()
     target = (F(1),) * 4
-    r_ggpc, _ = tp.ggpc(ch, target)
+    r_ggpc = tp.solve_power(ch, target, "ggpc").allocation
     _check(failures, r_ggpc == (F(-1),) * 4, f"ggpc allocation {r_ggpc}")
     full = tp.rates(ch, (F(0),) * 4, 1000)
     backed = tp.rates(ch, r_ggpc, 1000)
     loss = (full.min_rate - backed.min_rate) / full.min_rate
     _check(failures, 0.044 <= loss <= 0.054, f"symmetric-rate loss {loss:.4f}")
-    r_gsfpc, _ = tp.gsfpc(ch, target)
+    r_gsfpc = tp.solve_power(ch, target, "gsfpc").allocation
     _check(failures, r_gsfpc == (F(0),) * 4, f"gsfpc allocation {r_gsfpc}")
     _report(3, "finite-SNR symmetric-rate loss in [0.044, 0.054], "
                "fixed point at full power", failures)
@@ -152,7 +153,7 @@ def test_criterion_4_equivalence_properties():
         d = feasible_grid_target(rng, ch)
         if d is not None:
             counterpart_targets += 1
-            r_c, _ = tp.ggpc(ch, d)
+            r_c = tp.solve_power(ch, d, "ggpc").allocation
             r_r, _ = ggpc_per_state(ch, d)
             if r_c != r_r:
                 failures.append(f"instance {idx}: control outputs differ on {d}")
@@ -179,7 +180,7 @@ def test_criterion_5_global_optimality_oracle():
         if d is None:
             continue
         confirmed += 1
-        r_c, _ = tp.ggpc(ch, d)
+        r_c = tp.solve_power(ch, d, "ggpc").allocation
         r_r, _ = ggpc_per_state(ch, d)
         if r_c != r_r:
             failures.append(f"control outputs differ on {d}")
@@ -249,20 +250,22 @@ def test_criterion_8_fixed_point_behavior():
         if d is None:
             continue
         tested += 1
-        r_fix, trace = tp.gsfpc(ch, d)
+        sol = tp.solve_power(ch, d, "gsfpc")
+        r_fix, trace = sol.allocation, sol.trace
         for a, b in zip(trace.iterates, trace.iterates[1:]):
             if not all(x >= y for x, y in zip(a, b)):
                 failures.append(f"{d}: iterates not non-increasing")
                 break
         if not tp.locally_optimal(ch, r_fix, d):
             failures.append(f"{d}: fixed point not locally optimal")
-        r_min, _ = tp.ggpc(ch, d)
+        r_min = tp.solve_power(ch, d, "ggpc").allocation
         if not all(x >= y for x, y in zip(r_fix, r_min)):
             failures.append(f"{d}: fixed point below the global optimum")
         if len(failures) > 5:
             break
     ch = mix3()
-    r_fix, trace = tp.gsfpc(ch, ("0.5", "0.6", "0.7"))
+    sol = tp.solve_power(ch, ("0.5", "0.6", "0.7"), "gsfpc")
+    r_fix, trace = sol.allocation, sol.trace
     _check(failures, r_fix == (F("-1.2"), F("-0.4"), F("-0.7")),
            f"anchor fixed point {r_fix}")
     _check(failures, trace.iterates.index(r_fix) <= 8,
@@ -306,7 +309,7 @@ def test_criterion_9_weak_interference_implication():
 def test_criterion_10_gdof_limit():
     failures = []
     ch = mix3()
-    r, _ = tp.ggpc(ch, ("0.5", "0.6", "0.7"))
+    r = tp.solve_power(ch, ("0.5", "0.6", "0.7"), "ggpc").allocation
     result = tp.gdof_limit_check(ch, r, [10**6])
     for norm, target in zip(result.normalized[-1], (0.5, 0.6, 0.7)):
         _check(failures, abs(norm - target) < 0.02,

@@ -141,27 +141,24 @@ def test_tin_optimal_converse_fails(lopsided2):
 
 
 def test_from_joint_set_projects_rows():
-    joint = tp.JointStateSet.from_lists([
+    ch = tp.from_joint_set([
         [["1", "0.5"], ["0.3", "1"]],
         [["0.8", "0.2"], ["0.4", "1.1"]],
     ])
-    ch = tp.from_joint_set(joint)
     assert ch.state_counts == (2, 2)
     assert ch.receivers[0] == ((F(1), F("0.5")), (F("0.8"), F("0.2")))
 
 
 def test_from_joint_set_single_state_is_regular():
-    joint = tp.JointStateSet.from_lists([[["1", "0.5"], ["0.3", "1"]]])
-    ch = tp.from_joint_set(joint)
+    ch = tp.from_joint_set([[["1", "0.5"], ["0.3", "1"]]])
     assert tp.is_regular(ch)
 
 
 def test_from_joint_set_dedups_coinciding_rows():
-    joint = tp.JointStateSet.from_lists([
+    ch = tp.from_joint_set([
         [["1", "0.5"], ["0.3", "1"]],
         [["0.8", "0.2"], ["0.3", "1"]],
     ])
-    ch = tp.from_joint_set(joint)
     assert ch.state_counts == (2, 1)
 
 
@@ -172,30 +169,43 @@ def test_from_joint_set_state_count_bound():
         mats = [
             [[rng.choice(["0", "0.5", "1"]) for _ in range(K)] for _ in range(K)]
             for _ in range(rng.randint(1, 4))]
-        joint = tp.JointStateSet.from_lists(mats)
-        ch = tp.from_joint_set(joint)
+        ch = tp.from_joint_set(mats)
         assert all(n <= len(mats) for n in ch.state_counts)
 
 
 def test_from_entrywise_sets_min_max():
-    sets = tp.EntrywiseSets.from_lists(
+    reg = tp.from_entrywise_sets(
         [[["1", "2"], ["0.1", "0.5"]], [["0.3"], ["1"]]])
-    reg = tp.from_entrywise_sets(sets)
     assert reg.matrix == ((F(1), F("0.5")), (F("0.3"), F(1)))
 
 
 def test_from_entrywise_sets_singletons():
-    sets = tp.EntrywiseSets.from_lists([[["1.5"], ["0.2"]], [["0.4"], ["2"]]])
-    assert tp.from_entrywise_sets(sets).matrix == (
+    grid = [[["1.5"], ["0.2"]], [["0.4"], ["2"]]]
+    assert tp.from_entrywise_sets(grid).matrix == (
         (F("1.5"), F("0.2")), (F("0.4"), F(2)))
 
 
 def test_from_entrywise_sets_three_user_offdiag():
     grid = [[["2"] if i == j else ["0", "1"] for j in range(3)] for i in range(3)]
-    reg = tp.from_entrywise_sets(tp.EntrywiseSets.from_lists(grid))
+    reg = tp.from_entrywise_sets(grid)
     for i in range(3):
         for j in range(3):
             assert reg.matrix[i][j] == (F(2) if i == j else F(1))
+
+
+@pytest.mark.parametrize("convert, data", [
+    (tp.from_joint_set, []),
+    (tp.from_joint_set, [[["1", "0"], ["0", "1"]], [["1", "0"]]]),      # rows
+    (tp.from_joint_set, [[["1", "0"], ["0"]]]),                         # ragged row
+    (tp.from_joint_set, [[["1", "0"], ["0", "1"]], [["1", "-0.5"], ["0", "1"]]]),
+    (tp.from_entrywise_sets, [[["1"], []], [["0"], ["1"]]]),            # empty cell
+    (tp.from_entrywise_sets, [[["1"], ["-0.5", "1"]], [["0"], ["1"]]]),  # max hides it
+    (tp.from_entrywise_sets, [[["1"], ["0"]], [["1"]]]),                # ragged grid
+], ids=["joint-empty", "joint-rows", "joint-ragged", "joint-negative",
+        "entrywise-empty-cell", "entrywise-negative", "entrywise-ragged"])
+def test_converters_reject_malformed_sets(convert, data):
+    with pytest.raises(tp.ChannelValidationError):
+        convert(data)
 
 
 def test_subnetwork_projects_and_dedups():
@@ -229,7 +239,7 @@ MIX3_TARGET = ["0.5", "0.6", "0.7"]
 
 
 def _ggpc_allocation(ch):
-    return tp.ggpc(ch, MIX3_TARGET)[0]
+    return tp.solve_power(ch, MIX3_TARGET, "ggpc").allocation
 
 
 CHANNEL_CALLS = {
@@ -249,8 +259,8 @@ CHANNEL_CALLS = {
     "achieved_gdof": lambda ch: tp.achieved_gdof(ch, ["-0.1", "0", "-0.2"]),
     "achieved_gdof_polyhedral":
         lambda ch: tp.achieved_gdof_polyhedral(ch, _ggpc_allocation(ch)),
-    "gsfpc": lambda ch: tp.gsfpc(ch, MIX3_TARGET),
-    "ggpc": lambda ch: tp.ggpc(ch, MIX3_TARGET),
+    "gsfpc": lambda ch: tp.solve_power(ch, MIX3_TARGET, "gsfpc"),
+    "ggpc": lambda ch: tp.solve_power(ch, MIX3_TARGET, "ggpc"),
     "locally_optimal":
         lambda ch: tp.locally_optimal(ch, _ggpc_allocation(ch), MIX3_TARGET),
     "oracle_globally_optimal": lambda ch: tp.oracle_globally_optimal(

@@ -42,6 +42,7 @@ def test_validate_negative_strength(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["valid"] is False
     assert doc["error"]["receiver"] == 1
+    assert doc["error"]["message"] == "receiver 0 state 0 has negative strength -0.5"
 
 
 def test_validate_dimension_error(tmp_path, capsys):
@@ -170,6 +171,18 @@ def test_region_json_matches_text_numbers(capsys):
     assert doc["symmetric_gdof"] == "1"
     rhs = sorted(c["rhs"] for c in doc["constraints"])
     assert rhs == sorted(["2", "2", "1", "2", "2.2", "2.2", "3.2"])
+
+
+def test_region_empty(tmp_path, capsys):
+    path = write(tmp_path, "empty.json", {
+        "K": 2, "receivers": [{"states": [["1", "3"]]}, {"states": [["3", "1"]]}]})
+    code, out, _ = run(capsys, "region", "--channel", path)
+    assert code == 0
+    assert out.endswith("1*d1 + 1*d2 <= -4\n# region is empty\n")
+    code, out, _ = run(capsys, "region", "--channel", path, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["empty"] is True and "sum_gdof" not in doc
 
 
 def five_user_doc():
@@ -593,6 +606,30 @@ def test_rates_target_needs_alg(capsys):
         "--alloc=-0.1,-0.1,-0.1", "--target", "1,1,1", "--P", "1000")
     assert code == 2 and out == ""
     assert err == "error: --target is read only with --alg\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["feasible"], "this command needs --target d1,d2,..."),
+    (["feasible", "--target=-0.5,0.5"],
+     "bad --target: GDoF values must be non-negative, got -0.5"),
+    (["rates", "--alloc=0,0"], "this command needs --P p1,p2,..."),
+    (["rates", "--alloc=0,0", "--P", "abc"], "bad --P: 'abc'"),
+    (["rates", "--alloc=0,0", "--P", "1"], "all --P values must exceed 1"),
+    (["rates", "--alloc=x", "--P", "10"],
+     "bad --alloc: not a decimal or p/q rational: 'x'"),
+    # an all-zero allocation of the wrong length is refused, not dropped
+    (["rates", "--alloc=0", "--P", "10"], "bad --alloc: expected 2 exponents, got 1"),
+    (["rates", "--alloc=0.1,0", "--P", "10"],
+     "bad --alloc: power exponents must be <= 0, got 0.1"),
+    (["rates", "--alg", "sp", "--P", "10"],
+     "--alg needs a target (--target or a targets list in the file)"),
+], ids=["feasible-no-target", "feasible-negative-target", "rates-no-P", "rates-P-abc",
+        "rates-P-1", "rates-alloc-x", "rates-alloc-short-zero", "rates-alloc-positive",
+        "rates-alg-no-target"])
+def test_input_errors_exit_2_with_message(tmp_path, capsys, argv, message):
+    path = write(tmp_path, "two.json", {"K": 2, "receivers": TWO_USERS})
+    code, out, err = run(capsys, argv[0], "--channel", path, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, strength, flags", [

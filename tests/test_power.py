@@ -44,7 +44,8 @@ def test_polyhedral_walkthrough(mix3):
 
 
 def test_gsfpc_full_power_fixed_point(sym4):
-    r, trace = tp.gsfpc(sym4, [1, 1, 1, 1])
+    sol = tp.solve_power(sym4, [1, 1, 1, 1], "gsfpc")
+    r, trace = sol.allocation, sol.trace
     assert r == (F(0),) * 4
     assert trace.converged and trace.iterations == 1
     assert trace.iterates[0] == trace.iterates[1] == r
@@ -52,7 +53,8 @@ def test_gsfpc_full_power_fixed_point(sym4):
 
 def test_gsfpc_iterate_staircase():
     ch = tp.CompoundChannel.from_lists([[["1", "0.5"]], [["0.5", "1"]]])
-    r, trace = tp.gsfpc(ch, ["0.4", "0.4"])
+    sol = tp.solve_power(ch, ["0.4", "0.4"], "gsfpc")
+    r, trace = sol.allocation, sol.trace
     assert r == (F("-0.6"), F("-0.6"))
     first = [it[0] for it in trace.iterates]
     assert first == [F(0), F("-0.1"), F("-0.2"), F("-0.3"), F("-0.4"),
@@ -60,7 +62,8 @@ def test_gsfpc_iterate_staircase():
 
 
 def test_gsfpc_walkthrough(mix3):
-    r, trace = tp.gsfpc(mix3, ["0.5", "0.6", "0.7"])
+    sol = tp.solve_power(mix3, ["0.5", "0.6", "0.7"], "gsfpc")
+    r, trace = sol.allocation, sol.trace
     assert r == (F("-1.2"), F("-0.4"), F("-0.7"))
     assert trace.converged
     assert trace.iterates.index(r) <= 8
@@ -68,13 +71,8 @@ def test_gsfpc_walkthrough(mix3):
 
 def test_gsfpc_rejects_infeasible(asym3):
     with pytest.raises(tp.InfeasibleTargetError) as err:
-        tp.gsfpc(asym3, [2, 2, "0.5"])
+        tp.solve_power(asym3, [2, 2, "0.5"], "gsfpc")
     assert err.value.cycle_length < 0
-
-
-def test_gsfpc_rejects_zero_target(asym3):
-    with pytest.raises(ValueError):
-        tp.gsfpc(asym3, [1, 1, 0])
 
 
 def test_gsfpc_monotone_and_locally_optimal_random():
@@ -86,14 +84,16 @@ def test_gsfpc_monotone_and_locally_optimal_random():
         if d is None:
             continue
         checked += 1
-        r, trace = tp.gsfpc(ch, d)
+        sol = tp.solve_power(ch, d, "gsfpc")
+        r, trace = sol.allocation, sol.trace
         for a, b in zip(trace.iterates, trace.iterates[1:]):
             assert all(x >= y for x, y in zip(a, b))
         assert tp.locally_optimal(ch, r, d)
 
 
 def test_ggpc_walkthrough_trace(mix3):
-    r, trace = tp.ggpc(mix3, ["0.5", "0.6", "0.7"])
+    sol = tp.solve_power(mix3, ["0.5", "0.6", "0.7"], "ggpc")
+    r, trace = sol.allocation, sol.trace
     assert trace.r0 == (F("-0.1"), F(0), F("-0.1"))
     deltas = [u.delta for u in trace.updates]
     fixed = [u.fixed for u in trace.updates]
@@ -108,7 +108,8 @@ def test_ggpc_walkthrough_trace(mix3):
 
 
 def test_ggpc_simultaneous_tie(sym4):
-    r, trace = tp.ggpc(sym4, [1, 1, 1, 1])
+    sol = tp.solve_power(sym4, [1, 1, 1, 1], "ggpc")
+    r, trace = sol.allocation, sol.trace
     assert len(trace.updates) == 1
     assert trace.updates[0].fixed == (0, 1, 2, 3)
     assert trace.updates[0].delta == 1
@@ -116,7 +117,8 @@ def test_ggpc_simultaneous_tie(sym4):
 
 
 def test_ggpc_zero_delta_update(asym3):
-    r, trace = tp.ggpc(asym3, [1, 1, 1])
+    sol = tp.solve_power(asym3, [1, 1, 1], "ggpc")
+    r, trace = sol.allocation, sol.trace
     assert trace.r0 == (F("-0.4"), F("-0.2"), F(0))
     assert [u.delta for u in trace.updates] == [F(0), F("0.2")]
     assert [u.fixed for u in trace.updates] == [(2,), (0, 1)]
@@ -126,7 +128,8 @@ def test_ggpc_zero_delta_update(asym3):
 
 
 def test_ggpc_compound_two_state(comp2):
-    r, trace = tp.ggpc(comp2, ["0.5", "0.5"])
+    sol = tp.solve_power(comp2, ["0.5", "0.5"], "ggpc")
+    r, trace = sol.allocation, sol.trace
     assert r == (F("-0.3"), F("-0.3"))
     assert [u.delta for u in trace.updates] == [F("0.3"), F(0)]
     assert [u.fixed for u in trace.updates] == [(0,), (1,)]
@@ -140,13 +143,15 @@ def test_ggpc_compound_equals_counterpart_route(comp2):
     # allocation and trace match the per-state worst-margin reference, on the
     # channel and on its counterpart alike
     expected = ggpc_per_state(comp2, ["0.5", "0.5"])
-    assert tp.ggpc(comp2, ["0.5", "0.5"]) == expected
-    assert tp.ggpc(tp.regular_counterpart(comp2), ["0.5", "0.5"]) == expected
+    for ch in (comp2, tp.regular_counterpart(comp2)):
+        sol = tp.solve_power(ch, ["0.5", "0.5"], "ggpc")
+        assert (sol.allocation, sol.trace) == expected
 
 
 def test_ggpc_compound_collapses_on_regular(mix3):
     d = ["0.5", "0.6", "0.7"]
-    assert tp.ggpc(mix3, d) == ggpc_per_state(mix3, d)
+    sol = tp.solve_power(mix3, d, "ggpc")
+    assert (sol.allocation, sol.trace) == ggpc_per_state(mix3, d)
 
 
 def test_controls_match_per_state_reference_seeded():
@@ -165,7 +170,7 @@ def test_controls_match_per_state_reference_seeded():
             sol = tp.solve_power(ch, d, alg)
             assert (sol.allocation, sol.trace) == expected
             assert sol.via_counterpart == (alg == "ggpc")
-        _, trace = tp.gsfpc(ch, d)
+        trace = tp.solve_power(ch, d, "gsfpc").trace
         assert trace.converged and trace.iterates[0] == expected[1].r0
         for prev, nxt in zip(trace.iterates, trace.iterates[1:]):
             assert nxt == gsfpc_step_per_state(ch, prev, d)
@@ -191,7 +196,8 @@ def test_ggpc_trace_invariants_random():
         if d is None:
             continue
         checked += 1
-        r, trace = tp.ggpc(ch, d)
+        sol = tp.solve_power(ch, d, "ggpc")
+        r, trace = sol.allocation, sol.trace
         assert len(trace.updates) <= ch.K
         seen = []
         for u in trace.updates:
@@ -251,7 +257,7 @@ def test_locally_optimal_examples(mix3):
 
 
 def test_gsfpc_fixed_point_is_locally_optimal(comp2):
-    r, _ = tp.gsfpc(comp2, ["0.5", "0.4"])
+    r = tp.solve_power(comp2, ["0.5", "0.4"], "gsfpc").allocation
     assert tp.locally_optimal(comp2, r, ["0.5", "0.4"])
 
 
@@ -294,7 +300,8 @@ def test_gsfpc_dominates_grid_local_optima():
     rng = random.Random(55)
     ch = tp.CompoundChannel.from_lists([[["1", "0.5"]], [["0.5", "1"]]])
     d = (F("0.4"), F("0.4"))
-    r_star, trace = tp.gsfpc(ch, d)
+    sol = tp.solve_power(ch, d, "gsfpc")
+    r_star, trace = sol.allocation, sol.trace
     r0 = trace.iterates[0]
     step = F("0.1")
     grid = [-step * i for i in range(0, 16)]

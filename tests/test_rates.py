@@ -136,7 +136,7 @@ def test_efficiency_dominates_full_power_at_same_gdof():
         if any(x == 0 for x in target):
             continue
         checked += 1
-        r, _ = tp.ggpc(ch, target)
+        r = tp.solve_power(ch, target, "ggpc").allocation
         full = tp.rates(ch, [0] * ch.K, 1000)
         backed = tp.rates(ch, r, 1000)
         assert backed.efficiency >= full.efficiency
