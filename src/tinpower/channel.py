@@ -76,7 +76,8 @@ class RegularChannel:
 
     @classmethod
     def from_matrix(cls, matrix) -> "RegularChannel":
-        return cls.of(CompoundChannel.from_lists([[row] for row in matrix]))
+        # one state per receiver by construction; from_lists validates
+        return cls(CompoundChannel.from_lists([[row] for row in matrix]))
 
     @property
     def K(self) -> int:

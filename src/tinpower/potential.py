@@ -14,7 +14,7 @@ from typing import Union
 
 from .channel import regular_counterpart, validate
 from .errors import CertificateError
-from .rationals import gdof_tuple, render_rational
+from .rationals import gdof_tuple, lcm_scaled, render_rational
 
 U = "u"
 Vertex = Union[str, tuple[int, int]]
@@ -101,18 +101,21 @@ def build_reduced(channel, d) -> PotentialGraph:
 def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
     """Bellman-Ford from ``u`` with one extra detection round.
 
-    Arithmetic is exact, so the negative-circuit test is exact. Any valid
-    negative circuit is an acceptable witness; the one returned comes from
-    walking the predecessor chain.
+    The loop runs on the edge lengths as ints on their lcm lattice
+    (:func:`lcm_scaled`) and reads distances back as rationals, so the
+    negative-circuit test is exact. Any valid negative circuit is an
+    acceptable witness; the one returned comes from walking the predecessor
+    chain.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
     n = len(graph.vertices)
-    edges = [(index[s], index[t], w) for s, t, w in graph.edges]
+    scale, (lengths,) = lcm_scaled(w for _, _, w in graph.edges)
+    edges = [(index[s], index[t], w) for (s, t, _), w in zip(graph.edges, lengths)]
     weight = {(s, t): w for s, t, w in edges}
 
-    dist: list[Fraction | None] = [None] * n
+    dist: list[int | None] = [None] * n
     pred: list[int | None] = [None] * n
-    dist[index[U]] = ZERO
+    dist[index[U]] = 0
     for _ in range(n - 1):
         changed = False
         for s, t, w in edges:
@@ -147,12 +150,14 @@ def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
         if length >= 0:
             raise CertificateError("extracted circuit is not negative")
         return ShortestPathResult(
-            False, None, tuple(graph.vertices[i] for i in cycle), length)
+            False, None, tuple(graph.vertices[i] for i in cycle), Fraction(length, scale))
 
-    l_dst = []
-    for k in range(graph.K):
-        values = {dist[index[v]] for v in graph.vertices if v != U and v[0] == k}
-        if len(values) != 1:
+    values: list[set[int]] = [set() for _ in range(graph.K)]
+    for v, x in zip(graph.vertices, dist):
+        if v != U:
+            values[v[0]].add(x)
+    for k, found in enumerate(values):
+        if len(found) != 1:
             raise CertificateError(f"states of user {k + 1} disagree on distance")
-        l_dst.append(values.pop())
-    return ShortestPathResult(True, tuple(l_dst), None, None)
+    return ShortestPathResult(
+        True, tuple(Fraction(found.pop(), scale) for found in values), None, None)

@@ -1,7 +1,8 @@
 """Power-exponent evaluation and control.
 
-Transmit powers are written P**r_k with r_k <= 0. All control logic runs on
-exact rationals: argmin tie sets and fixed points are decided without any
+Transmit powers are written P**r_k with r_k <= 0. All control logic is exact:
+the loops run on ints on the lcm lattice of their rational inputs and return
+rationals, so argmin tie sets and fixed points are decided without any
 tolerance, which is what makes simultaneous user fixing well defined.
 
 Three controls are provided. The synchronous fixed-point iteration (gsfpc)
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -31,7 +31,13 @@ from .errors import (
     PolyhedralViolationError,
 )
 from .potential import U
-from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
+from .rationals import (
+    gdof_tuple,
+    lcm_scaled,
+    parse_rational,
+    power_exponents,
+    render_rational,
+)
 from .region import decide
 
 ZERO = Fraction(0)
@@ -96,21 +102,34 @@ class GsfpcTrace:
     iterations: int
 
 
+def _interference(rows, x) -> list[int]:
+    """Each receiver's strongest interference level on ints: the noise
+    level 0 stands in for its own term, so the result is at least 0."""
+    out = []
+    for k, row in enumerate(rows):
+        levels = [g + y for g, y in zip(row, x)]
+        levels[k] = 0
+        out.append(max(levels))
+    return out
+
+
 def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     """Synchronous fixed-point power control on the counterpart matrix ``a``.
 
     Each round sets every user's exponent to the smallest value meeting its
     target against the current interference. From the shortest-path start the
     iterates decrease and reach an exact fixed point, which is locally optimal
-    and dominates every local optimum below the start.
+    and dominates every local optimum below the start. Rounds run on ints on
+    the lcm lattice of ``a``, ``d`` and ``r`` (:func:`lcm_scaled`).
     """
+    scale, (*rows, need, x) = lcm_scaled(*a, d, r)
     iterates = [r]
     for n in range(GSFPC_MAX_ITERATIONS):
-        nxt = tuple(r[k] + d[k] - _rate_exponent(row, r, k) for k, row in enumerate(a))
-        iterates.append(nxt)
-        if nxt == r:
-            return nxt, GsfpcTrace(tuple(iterates), True, n + 1)
-        r = nxt
+        nxt = [need[k] - rows[k][k] + w for k, w in enumerate(_interference(rows, x))]
+        iterates.append(tuple(Fraction(v, scale) for v in nxt))
+        if nxt == x:
+            return iterates[-1], GsfpcTrace(tuple(iterates), True, n + 1)
+        x = nxt
     trace = GsfpcTrace(tuple(iterates), False, GSFPC_MAX_ITERATIONS)
     raise NonConvergenceError(
         f"no exact fixed point within {GSFPC_MAX_ITERATIONS} iterations",
@@ -143,24 +162,44 @@ def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     from the moment it is fixed. On a multi-state channel the counterpart's
     rows equal each user's worst state, so every user ends with at least one
     state meeting its target exactly.
+
+    Updates run on ints on the lcm lattice of ``a``, ``d`` and ``r0``
+    (:func:`lcm_scaled`). Receiver k keeps two running maxima: ``floor[k]``,
+    the strongest interference from fixed users, starting at the noise level
+    0, raised to ``a[k][m] + r[m]`` when user m is fixed; and ``moving[k]``,
+    the strongest of the noise level and the interference from the users
+    active at the start, lowered by every ``delta``. Active users drop with
+    k's own signal, so an active user's margin reads only ``floor``. The
+    noise term of ``moving``, and the term of a user fixed since, are stale,
+    but at or below their terms in ``floor`` (they only dropped further), so
+    ``max(floor[k], moving[k])`` is k's strongest interference and ``moving``
+    never forgets a fixed user.
+    Margins and each trace row's achieved GDoF cost O(K) per update.
     """
-    r = list(r0)
-    active = set(range(len(a)))
-    fixed: list[int] = []
+    K = len(a)
+    scale, (*rows, need, r) = lcm_scaled(*a, d, r0)
+    floor = [0] * K
+    moving = _interference(rows, r)
+    active = set(range(K))
     updates: list[GgpcUpdate] = []
     while active:
-        margins = {
-            i: r[i] + a[i][i] - d[i] - max([ZERO] + [a[i][m] + r[m] for m in fixed])
-            for i in sorted(active)}
+        margins = {i: r[i] + rows[i][i] - need[i] - floor[i] for i in sorted(active)}
         delta = min(margins.values())
-        newly = tuple(sorted(i for i in active if margins[i] == delta))
+        newly = tuple(i for i, x in margins.items() if x == delta)
         for i in active:
             r[i] -= delta
+        moving = [x - delta for x in moving]
         active -= set(newly)
-        fixed.extend(newly)
-        achieved = tuple(max(_rate_exponent(row, r, k), ZERO) for k, row in enumerate(a))
-        updates.append(GgpcUpdate(delta, newly, tuple(r), achieved))
-    return tuple(r), GgpcTrace(r0, tuple(updates))
+        for m in newly:
+            for k, row in enumerate(rows):
+                if k != m and row[m] + r[m] > floor[k]:
+                    floor[k] = row[m] + r[m]
+        achieved = tuple(
+            Fraction(max(row[k] + r[k] - max(floor[k], moving[k]), 0), scale)
+            for k, row in enumerate(rows))
+        updates.append(GgpcUpdate(Fraction(delta, scale), newly,
+                                  tuple(Fraction(x, scale) for x in r), achieved))
+    return updates[-1].r, GgpcTrace(r0, tuple(updates))
 
 
 def locally_optimal(channel, r, d) -> bool:
@@ -173,12 +212,6 @@ def locally_optimal(channel, r, d) -> bool:
     if any(max(x, ZERO) < t for x, t in zip(rate_exps, d)):
         raise ValueError("allocation does not achieve the target tuple")
     return rate_exps == d
-
-
-def _scaled_int(value: Fraction, scale: int) -> int:
-    scaled = value * scale
-    assert scaled.denominator == 1
-    return int(scaled)
 
 
 def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
@@ -211,22 +244,17 @@ def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
             f"grid of {len(levels)}^{K} = {len(levels) ** K} points exceeds "
             f"the search guard of {ORACLE_MAX_POINTS}")
 
-    denoms = [step.denominator]
-    denoms += [x.denominator for x in r] + [x.denominator for x in d]
-    for states in channel.receivers:
-        for vec in states:
-            denoms += [x.denominator for x in vec]
-    scale = lcm(*denoms)
-    alpha = [
-        [[_scaled_int(x, scale) for x in vec] for vec in states]
-        for states in channel.receivers]
+    _, (_, levels, r, d, *vectors) = lcm_scaled(
+        [step], levels, r, d, *(vec for states in channel.receivers for vec in states))
+    vectors = iter(vectors)
+    alpha = [[next(vectors) for _ in states] for states in channel.receivers]
     magnitude = max(abs(v) for row in alpha for vec in row for v in vec)
     if magnitude > ORACLE_MAX_SCALED:
         raise GuardExceededError(
             f"scaled strength magnitude {magnitude} exceeds the integer guard "
             f"of {ORACLE_MAX_SCALED}")
 
-    grid = np.array([_scaled_int(v, scale) for v in levels], dtype=np.int64)
+    grid = np.array(levels, dtype=np.int64)
     axes = [
         grid.reshape(tuple(len(levels) if j == k else 1 for j in range(K)))
         for k in range(K)]
@@ -248,12 +276,12 @@ def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
                 interference = np.maximum(interference, 0)
             value = vec[k] + axes[k] - interference
             per_user = value if per_user is None else np.minimum(per_user, value)
-        ok = np.maximum(per_user, 0) >= _scaled_int(d[k], scale)
+        ok = np.maximum(per_user, 0) >= d[k]
         feasible = ok if feasible is None else feasible & ok
 
     undercut = None
     for k in range(K):
-        below = axes[k] < _scaled_int(r[k], scale)
+        below = axes[k] < r[k]
         undercut = below if undercut is None else undercut | below
     return not bool(np.any(feasible & undercut))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from math import lcm
 
 # Largest decimal exponent magnitude accepted: "1e400" parses, "1e1000000"
 # is refused before a million-digit integer is built.
@@ -75,6 +76,18 @@ def power_exponents(values, K: int | None = None) -> tuple[Fraction, ...]:
             raise ValueError(
                 f"power exponents must be <= 0, got {render_rational(x)}")
     return r
+
+
+def lcm_scaled(*groups) -> tuple[int, list[list[int]]]:
+    """The lcm ``scale`` of the denominators of every rational in ``groups``,
+    and each group as the ints ``x * scale``. Adding and comparing these
+    ints is exact integer arithmetic on the rationals' common lattice; a
+    result ``n`` reads back as ``Fraction(n, scale)``."""
+    groups = [list(g) for g in groups]
+    denominators = {x.denominator for g in groups for x in g}
+    scale = lcm(*denominators)
+    factor = {q: scale // q for q in denominators}
+    return scale, [[x.numerator * factor[x.denominator] for x in g] for g in groups]
 
 
 def render_rational(value: Fraction) -> str:

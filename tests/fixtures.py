@@ -81,6 +81,34 @@ def random_compound(rng: random.Random, K: int | None = None, max_states: int = 
     return tp.CompoundChannel.from_lists(receivers)
 
 
+def primes_above(low: int, count: int) -> list[int]:
+    """The first ``count`` primes greater than ``low``, by trial division."""
+    out: list[int] = []
+    n = low
+    while len(out) < count:
+        n += 1
+        if all(n % p for p in range(2, int(n ** 0.5) + 1)):
+            out.append(n)
+    return out
+
+
+def prime_denominator_channel(rng: random.Random, K: int) -> tp.CompoundChannel:
+    """Single-state channel whose K*K entries have distinct prime
+    denominators (the first K*K primes above 100), cross links in (0, 1/2)
+    and direct links in (1, 2): the lcm of the entries' denominators is as
+    large as K*K entries allow, the hardest case for lcm-scaled ints."""
+    dens = iter(primes_above(100, K * K))
+    rows = []
+    for k in range(K):
+        row = []
+        for j in range(K):
+            p = next(dens)
+            row.append(F(rng.randint(p + 1, 2 * p - 1) if j == k
+                         else rng.randint(1, p // 2), p))
+        rows.append([row])
+    return tp.CompoundChannel.from_lists(rows)
+
+
 def random_tin_optimal(rng: random.Random, K: int | None = None,
                        max_states: int = 3) -> tp.CompoundChannel:
     """Random channel guaranteed to pass the weak-interference condition:
@@ -119,6 +147,22 @@ def feasible_grid_target(rng: random.Random, channel: tp.CompoundChannel,
         if not tp.member(channel, d, cons)[0]:
             d[k] -= step
     return tuple(d)
+
+
+def boundary_targets(channel: tp.CompoundChannel, v, step: Fraction = F("0.01")):
+    """The targets ``t * v`` at the last multiple t of ``step`` inside the
+    region and at the first one outside, found by bisection on ``decide``.
+    The region must be nonempty."""
+    def inside(n):
+        return tp.decide(channel, [n * step * x for x in v]).sp.feasible
+
+    lo, hi = 0, 1
+    while inside(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return tuple(lo * step * x for x in v), tuple(hi * step * x for x in v)
 
 
 def pareto_target(rng: random.Random, channel: tp.CompoundChannel,

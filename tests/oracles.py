@@ -12,7 +12,8 @@ certificate for a claimed sum maximizer.
 
 The control references run the power-control updates over every receiver
 state instead of the regular counterpart's rows, starting from the full
-per-state graph's shortest paths.
+per-state graph's shortest paths as found by :func:`bellman_ford_fractions`,
+the package's Bellman-Ford loop kept on ``Fraction`` lengths.
 """
 
 from __future__ import annotations
@@ -143,6 +144,63 @@ def all_circuits_nonnegative(graph) -> bool:
     return True
 
 
+def bellman_ford_fractions(graph) -> tp.ShortestPathResult:
+    """``tp.shortest_paths`` on the ``Fraction`` lengths themselves rather
+    than ints on their lcm lattice: the same relaxation order, detection
+    round, predecessor walk and consistency checks, so the same result."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(graph.vertices)
+    edges = [(index[s], index[t], w) for s, t, w in graph.edges]
+    weight = {(s, t): w for s, t, w in edges}
+
+    dist: list[Fraction | None] = [None] * n
+    pred: list[int | None] = [None] * n
+    dist[index[tp.U]] = F(0)
+    for _ in range(n - 1):
+        changed = False
+        for s, t, w in edges:
+            if dist[s] is not None and (dist[t] is None or dist[s] + w < dist[t]):
+                dist[t] = dist[s] + w
+                pred[t] = s
+                changed = True
+        if not changed:
+            break
+
+    start = None
+    for s, t, w in edges:
+        if dist[s] is not None and dist[s] + w < dist[t]:
+            dist[t] = dist[s] + w
+            pred[t] = s
+            start = t
+            break
+
+    if start is not None:
+        node = start
+        for _ in range(n):
+            node = pred[node]
+        cycle = [node]
+        walk = pred[node]
+        while walk != node:
+            cycle.append(walk)
+            walk = pred[walk]
+        cycle.reverse()  # predecessor walk runs against edge direction
+        length = sum(
+            weight[(cycle[i], cycle[(i + 1) % len(cycle)])]
+            for i in range(len(cycle)))
+        if length >= 0:
+            raise tp.CertificateError("extracted circuit is not negative")
+        return tp.ShortestPathResult(
+            False, None, tuple(graph.vertices[i] for i in cycle), length)
+
+    l_dst = []
+    for k in range(graph.K):
+        values = {dist[index[v]] for v in graph.vertices if v != tp.U and v[0] == k}
+        if len(values) != 1:
+            raise tp.CertificateError(f"states of user {k + 1} disagree on distance")
+        l_dst.append(values.pop())
+    return tp.ShortestPathResult(True, tuple(l_dst), None, None)
+
+
 def _worst_state_rate(channel, r, k) -> Fraction:
     """User k's TIN rate expression minimised over its receiver states."""
     others = [j for j in range(channel.K) if j != k]
@@ -162,7 +220,7 @@ def ggpc_per_state(channel, d):
     (the worst state counts) and each trace row's achieved GDoF from the
     per-state ``achieved_gdof``. Returns ``(r, GgpcTrace)``."""
     d = tp.gdof_tuple(d, channel.K)
-    r0 = tp.shortest_paths(tp.build_full(channel, d)).l_dst
+    r0 = bellman_ford_fractions(tp.build_full(channel, d)).l_dst
     r = list(r0)
     active = set(range(channel.K))
     fixed: list[int] = []

@@ -208,6 +208,20 @@ def test_converters_reject_malformed_sets(convert, data):
         convert(data)
 
 
+@pytest.mark.parametrize("convert, data", [
+    (tp.RegularChannel.from_matrix, [["1", "0.5"], ["0.3", "1"]]),
+    (tp.from_entrywise_sets, [[["1", "2"], ["0.1", "0.5"]], [["0.3"], ["1"]]]),
+], ids=["from-matrix", "entrywise"])
+def test_converters_validate_once(convert, data, monkeypatch):
+    import tinpower.channel as channel
+
+    checked = []
+    real = channel.validate
+    monkeypatch.setattr(channel, "validate", lambda ch: checked.append(ch) or real(ch))
+    convert(data)
+    assert len(checked) == 1
+
+
 def test_subnetwork_projects_and_dedups():
     ch = tp.CompoundChannel.from_lists([
         [["1", "0.5", "0.2"], ["1", "0.5", "0.9"]],

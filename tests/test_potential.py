@@ -6,8 +6,14 @@ import pytest
 import tinpower as tp
 from tinpower.potential import U
 
-from fixtures import random_compound
-from oracles import all_circuits_nonnegative, min_path_by_enumeration
+from fixtures import (
+    boundary_targets,
+    grid_value,
+    prime_denominator_channel,
+    random_compound,
+    random_tin_optimal,
+)
+from oracles import all_circuits_nonnegative, bellman_ford_fractions, min_path_by_enumeration
 
 
 def edge_map(graph):
@@ -137,6 +143,22 @@ def test_feasibility_matches_circuit_enumeration():
         g = tp.build_full(ch, d)
         sp = tp.shortest_paths(g)
         assert sp.feasible == all_circuits_nonnegative(g)
+
+
+def test_shortest_paths_match_fraction_loop_seeded():
+    # the loop on lcm-scaled ints returns the Fraction loop's result: the
+    # same distances, or the same witness circuit and length, on the full
+    # per-state graph just inside and just outside the region
+    rng = random.Random(24)
+    channels = [random_tin_optimal(rng, K=K, max_states=2) for K in (1, 2, 5, 10, 20, 40)]
+    channels.append(prime_denominator_channel(rng, 20))
+    for ch in channels:
+        v = [grid_value(rng, F(1), lo=F("0.5")) for _ in range(ch.K)]
+        for d, feasible in zip(boundary_targets(ch, v), (True, False)):
+            graph = tp.build_full(ch, d)
+            sp = tp.shortest_paths(graph)
+            assert sp == bellman_ford_fractions(graph)
+            assert sp.feasible == feasible
 
 
 def test_states_of_one_user_share_distance(comp2):

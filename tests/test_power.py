@@ -5,8 +5,16 @@ import pytest
 
 import tinpower as tp
 
-from fixtures import feasible_grid_target, random_compound, random_tin_optimal, single
-from oracles import ggpc_per_state, gsfpc_step_per_state
+from fixtures import (
+    boundary_targets,
+    feasible_grid_target,
+    grid_value,
+    prime_denominator_channel,
+    random_compound,
+    random_tin_optimal,
+    single,
+)
+from oracles import bellman_ford_fractions, ggpc_per_state, gsfpc_step_per_state
 
 
 def test_achieved_gdof_two_state(comp2):
@@ -154,6 +162,21 @@ def test_ggpc_compound_collapses_on_regular(mix3):
     assert (sol.allocation, sol.trace) == ggpc_per_state(mix3, d)
 
 
+def assert_controls_match_references(ch, d):
+    """``ggpc`` and ``ggpc-c`` give ``ggpc_per_state``'s allocation and
+    trace, and every ``gsfpc`` iterate is one per-state round of the last;
+    returns the ggpc updates."""
+    expected = ggpc_per_state(ch, d)
+    for alg in ("ggpc", "ggpc-c"):
+        sol = tp.solve_power(ch, d, alg)
+        assert (sol.allocation, sol.trace) == expected
+    trace = tp.solve_power(ch, d, "gsfpc").trace
+    assert trace.converged and trace.iterates[0] == expected[1].r0
+    for prev, nxt in zip(trace.iterates, trace.iterates[1:]):
+        assert nxt == gsfpc_step_per_state(ch, prev, d)
+    return expected[1].updates
+
+
 def test_controls_match_per_state_reference_seeded():
     rng = random.Random(58)
     checked = 0
@@ -165,15 +188,11 @@ def test_controls_match_per_state_reference_seeded():
         if d is None:
             continue
         checked += 1
-        expected = ggpc_per_state(ch, d)
+        assert_controls_match_references(ch, d)
         for alg in ("ggpc", "ggpc-c"):
-            sol = tp.solve_power(ch, d, alg)
-            assert (sol.allocation, sol.trace) == expected
-            assert sol.via_counterpart == (alg == "ggpc")
+            assert tp.solve_power(ch, d, alg).via_counterpart == (alg == "ggpc")
         trace = tp.solve_power(ch, d, "gsfpc").trace
-        assert trace.converged and trace.iterates[0] == expected[1].r0
         for prev, nxt in zip(trace.iterates, trace.iterates[1:]):
-            assert nxt == gsfpc_step_per_state(ch, prev, d)
             assert tp.locally_optimal(ch, prev, d) == (nxt == prev)
         # a silent user: the controls run on the others' subnetwork
         if ch.K > 1:
@@ -185,6 +204,34 @@ def test_controls_match_per_state_reference_seeded():
                                  "ggpc")
             assert [sol.allocation[k] for k in active] == list(sub_r)
             assert sol.allocation[off] is None
+
+
+@pytest.mark.parametrize("K", [20, 40])
+def test_controls_match_per_state_reference_large(K):
+    # at these sizes most updates read a receiver's running maximum after
+    # fixed users have left stale terms in it; the target sits on the region
+    # boundary, where updates tie and drop by zero
+    rng = random.Random(K)
+    ch = random_tin_optimal(rng, K=K, max_states=2)
+    v = [grid_value(rng, F(1), lo=F("0.5")) for _ in range(K)]
+    inside, _ = boundary_targets(ch, v)
+    updates = assert_controls_match_references(ch, inside)
+    assert any(len(u.fixed) > 1 for u in updates)
+    assert any(u.delta == 0 for u in updates)
+
+
+def test_prime_denominators_match_fraction_references():
+    # 3600 entries with distinct prime denominators make the lcm lattice as
+    # fine as it gets; answers must not change. 0.605 and 0.606 are the
+    # symmetric targets on either side of this channel's boundary.
+    ch = prime_denominator_channel(random.Random(60), 60)
+    for t, feasible in ((F("0.605"), True), (F("0.606"), False)):
+        d = [t] * 60
+        verdict = tp.decide(ch, d)
+        assert verdict.sp == bellman_ford_fractions(verdict.graph)
+        assert verdict.sp.feasible == feasible
+    sol = tp.solve_power(ch, [F("0.605")] * 60, "ggpc")
+    assert (sol.allocation, sol.trace) == ggpc_per_state(ch, [F("0.605")] * 60)
 
 
 def test_ggpc_trace_invariants_random():
