@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ChannelValidationError
-from .rationals import parse_rational, render_rational
+from .rationals import lcm_scaled, parse_rational, rational_parser, render_rational
 
 StateVector = tuple[Fraction, ...]
 StateSet = tuple[StateVector, ...]
@@ -36,10 +36,12 @@ class CompoundChannel:
 
         Exact duplicate states within a receiver are dropped (they are
         mathematically inert and only inflate graph sizes); the result is
-        validated before being returned.
+        validated before being returned. Each distinct literal is parsed once
+        (:func:`rational_parser`).
         """
+        parse = rational_parser()
         parsed = tuple(
-            _distinct(tuple(parse_rational(x) for x in state) for state in states)
+            _distinct(tuple(map(parse, state)) for state in states)
             for states in receivers)
         channel = cls(len(parsed) if K is None else K, parsed)
         validate(channel)
@@ -187,16 +189,23 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
     is generally none of the original network realizations.
     """
     validate(channel)
-    K = channel.K
+    return _counterpart(channel)
+
+
+def _counterpart(channel) -> RegularChannel:
+    """:func:`regular_counterpart` of a validated channel. Row k reads only
+    receiver k's states, so it is computed on their own lcm lattice
+    (:func:`lcm_scaled`)."""
     rows = []
     for k, states in enumerate(channel.receivers):
-        direct = min(vec[k] for vec in states)
-        # Cross links come out >= 0: the gain in the weakest-direct state is
-        # at most that state's direct strength.
-        rows.append(tuple(
-            direct if j == k else direct - min(vec[k] - vec[j] for vec in states)
-            for j in range(K)))
-    return RegularChannel(CompoundChannel(K, tuple((row,) for row in rows)))
+        scale, vecs = lcm_scaled(*states)
+        direct = min(vec[k] for vec in vecs)
+        # Entry j is direct minus the least gain vec[k] - vec[j] over the
+        # states: the direct link itself at j = k (gain 0), and >= 0 across,
+        # since the gain in the weakest-direct state is at most its direct.
+        least_gain = map(min, zip(*([vec[k] - x for x in vec] for vec in vecs)))
+        rows.append(tuple(Fraction(direct - g, scale) for g in least_gain))
+    return RegularChannel(CompoundChannel(channel.K, tuple((row,) for row in rows)))
 
 
 def from_joint_set(matrices) -> CompoundChannel:
@@ -245,6 +254,11 @@ def subnetwork(channel: CompoundChannel, keep: Sequence[int]) -> CompoundChannel
     States that coincide after projection are merged.
     """
     validate(channel)
+    return _subnetwork(channel, keep)
+
+
+def _subnetwork(channel, keep) -> CompoundChannel:
+    """:func:`subnetwork` of a validated channel."""
     kept = sorted(set(keep))
     if not kept:
         raise ValueError("subnetwork needs at least one user")

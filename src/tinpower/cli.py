@@ -40,7 +40,7 @@ from .power import (
     solve_power,
 )
 from .rates import sweep
-from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
+from .rationals import gdof_tuple, power_exponents, rational_parser, render_rational
 from .region import (
     decide,
     improvable_users,
@@ -85,6 +85,7 @@ def _parse_channel_doc(doc) -> CompoundChannel:
         raise CliInputError('"K" must be an integer')
     if not isinstance(doc["receivers"], list):
         raise CliInputError('"receivers" must be an array')
+    parse = rational_parser()
     receivers = []
     for idx, rx in enumerate(doc["receivers"]):
         if not isinstance(rx, dict) or "states" not in rx:
@@ -96,7 +97,7 @@ def _parse_channel_doc(doc) -> CompoundChannel:
             if not isinstance(state, list):
                 raise CliInputError(f"receiver {idx + 1} has a non-array state")
             try:
-                states.append(tuple(parse_rational(x) for x in state))
+                states.append(tuple(map(parse, state)))
             except (ValueError, TypeError) as exc:
                 raise CliInputError(f"receiver {idx + 1}: {exc}") from None
         receivers.append(_distinct(states))
@@ -161,12 +162,13 @@ def _witness_data(w: TinViolation) -> dict:
     }
 
 
-def _constraint_data(c, K) -> dict:
+def _constraint_data(c, line: str) -> dict:
+    """JSON form of constraint ``c``, whose rendered inequality is ``line``."""
     return {
         "users": _users(c.users),
         "rhs": render_rational(c.rhs),
         "cycle": _users(c.cycle) if c.cycle else None,
-        "inequality": c.export_line(K),
+        "inequality": line,
     }
 
 
@@ -269,11 +271,12 @@ def cmd_feasible(args) -> int:
             f"target ({', '.join(_render_vec(d))}): feasible; "
             f"shortest-path allocation ({', '.join(_render_vec(sp.l_dst))})")
     else:
-        data["violated_constraint"] = _constraint_data(violated, cf.channel.K)
+        line = violated.export_line(cf.channel.K)
+        data["violated_constraint"] = _constraint_data(violated, line)
         data["negative_cycle"] = _cycle_data(sp.negative_cycle, sp.cycle_length)
         text = (
             f"target ({', '.join(_render_vec(d))}): infeasible; "
-            f"violated {violated.export_line(cf.channel.K)}; "
+            f"violated {line}; "
             f"negative circuit {' -> '.join(vertex_label(v) for v in sp.negative_cycle)} "
             f"of length {render_rational(sp.cycle_length)}")
     Report(data, text).emit(args.json)
@@ -283,12 +286,13 @@ def cmd_feasible(args) -> int:
 def cmd_region(args) -> int:
     cf = load_channel_file(args.channel)
     cons = region_constraints(cf.channel)
+    lines = [c.export_line(cons.K) for c in cons.constraints]
     data = {
         "command": "region",
         "channel": cf.name,
-        "constraints": [_constraint_data(c, cons.K) for c in cons.constraints],
+        "constraints": [
+            _constraint_data(c, line) for c, line in zip(cons.constraints, lines)],
     }
-    lines = [c.export_line(cons.K) for c in cons.constraints]
     try:
         total, maximizer = sum_gdof(cf.channel)
         symmetric = symmetric_gdof(cf.channel)
@@ -317,10 +321,10 @@ def cmd_pareto(args) -> int:
         "member": verdict.sp.feasible,
     }
     if not verdict.sp.feasible:
+        line = verdict.bound.export_line(K)
         data["pareto"] = False
-        data["violated_constraint"] = _constraint_data(verdict.bound, K)
-        Report(data, f"not in the region: violates "
-                     f"{verdict.bound.export_line(K)}").emit(args.json)
+        data["violated_constraint"] = _constraint_data(verdict.bound, line)
+        Report(data, f"not in the region: violates {line}").emit(args.json)
         return EXIT_NEGATIVE
     certify_allocation(cf.channel, verdict.sp.l_dst, d)
     improvable = improvable_users(verdict)
@@ -375,7 +379,8 @@ def cmd_power(args) -> int:
             "target": _render_vec(d),
             "algorithm": args.alg,
             "feasible": False,
-            "violated_constraint": _constraint_data(exc.bound, cf.channel.K),
+            "violated_constraint": _constraint_data(
+                exc.bound, exc.bound.export_line(cf.channel.K)),
             "negative_cycle": _cycle_data(exc.cycle, exc.cycle_length),
         }
         Report(data, f"infeasible target: {exc}").emit(args.json)

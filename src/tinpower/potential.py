@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .channel import regular_counterpart, validate
+from .channel import _counterpart, validate
 from .errors import CertificateError
 from .rationals import gdof_tuple, lcm_scaled, render_rational
 
@@ -62,11 +62,25 @@ def build_full(channel, d) -> PotentialGraph:
     production paths build it on the regular counterpart (one state per
     user), as :func:`build_reduced` does."""
     validate(channel)
-    target = gdof_tuple(d, channel.K)
+    return _build_full(channel, gdof_tuple(d, channel.K))
+
+
+def _build_full(channel, target) -> PotentialGraph:
+    """:func:`build_full` of a validated channel and a coerced target. User
+    k's edge lengths read only receiver k's states and ``target[k]``, so
+    they are computed on their own lcm lattice (:func:`lcm_scaled`)."""
     K, receivers = channel.K, channel.receivers
     vertices: list[Vertex] = [
         (k, l) for k in range(K) for l in range(len(receivers[k]))]
     vertices.append(U)
+    # per (k, l): the lengths (direct - cross) - d_k to each user j, and
+    # direct - d_k into u
+    lengths: dict[Vertex, tuple[list[Fraction], Fraction]] = {}
+    for k, states in enumerate(receivers):
+        scale, (need, *vecs) = lcm_scaled([target[k]], *states)
+        for l, vec in enumerate(vecs):
+            top = vec[k] - need[0]
+            lengths[k, l] = [Fraction(top - x, scale) for x in vec], Fraction(top, scale)
     edges: list[tuple[Vertex, Vertex, Fraction]] = []
     for k in range(K):
         for l in range(len(receivers[k])):
@@ -74,15 +88,16 @@ def build_full(channel, d) -> PotentialGraph:
                 if l2 != l:
                     edges.append(((k, l), (k, l2), ZERO))
     for k in range(K):
-        for l, vec in enumerate(receivers[k]):
+        for l in range(len(receivers[k])):
+            cross = lengths[k, l][0]
             for j in range(K):
                 if j == k:
                     continue
                 for lj in range(len(receivers[j])):
-                    edges.append(((k, l), (j, lj), vec[k] - vec[j] - target[k]))
+                    edges.append(((k, l), (j, lj), cross[j]))
     for k in range(K):
-        for l, vec in enumerate(receivers[k]):
-            edges.append(((k, l), U, vec[k] - target[k]))
+        for l in range(len(receivers[k])):
+            edges.append(((k, l), U, lengths[k, l][1]))
     for k in range(K):
         for l in range(len(receivers[k])):
             edges.append((U, (k, l), ZERO))
@@ -95,7 +110,8 @@ def build_reduced(channel, d) -> PotentialGraph:
     Feasibility and every shortest-path length from ``u`` agree exactly with
     the full graph, at a cost independent of the state counts.
     """
-    return build_full(regular_counterpart(channel), d)
+    validate(channel)
+    return _build_full(_counterpart(channel), gdof_tuple(d, channel.K))
 
 
 def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:

@@ -11,8 +11,9 @@ K-update scheme (ggpc) lowers all still-active users by the largest uniform
 amount that keeps every target met, freezes the users that hit their limit,
 and terminates with the unique componentwise-minimal achieving allocation.
 Both read only the regular counterpart's matrix, whose row k gives user k's
-worst-state TIN rate; ``achieved_gdof`` keeps the per-state definition, which
-certificates check independently of the counterpart.
+worst-state TIN rate; ``achieved_gdof`` keeps the per-state definition, on
+each receiver's own lattice, which certificates check independently of the
+counterpart.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import is_regular, regular_counterpart, subnetwork, validate
+from .channel import _subnetwork, is_regular, regular_counterpart, validate
 from .errors import (
     CertificateError,
     GuardExceededError,
@@ -38,7 +39,7 @@ from .rationals import (
     power_exponents,
     render_rational,
 )
-from .region import decide
+from .region import _decide
 
 ZERO = Fraction(0)
 
@@ -47,30 +48,42 @@ ORACLE_MAX_POINTS = 2_000_000
 ORACLE_MAX_SCALED = 1 << 40  # keeps int64 grid arithmetic overflow-free
 
 
-def _rate_exponent(vec, r, k) -> Fraction:
-    """User k's TIN rate expression at one receiver state: its signal level
-    minus the strongest interference level, taken as at least the noise
-    level 0."""
-    worst = max((vec[j] + r[j] for j in range(len(r)) if j != k), default=ZERO)
-    return vec[k] + r[k] - max(worst, ZERO)
+def _interference(row, x, k) -> int:
+    """Receiver k's strongest interference level in state ``row`` under
+    exponents ``x``, on ints: the noise level 0 stands in for its own term,
+    so the result is at least 0."""
+    levels = [g + y for g, y in zip(row, x)]
+    levels[k] = 0
+    return max(levels)
 
 
-def _worst_state(channel, r, k) -> Fraction:
-    """User k's TIN rate expression in its worst receiver state."""
-    return min(_rate_exponent(vec, r, k) for vec in channel.receivers[k])
+def _state_rates(channel, r):
+    """Per user k: the lcm lattice ``scale`` of receiver k's states and
+    ``r`` (:func:`lcm_scaled`), and k's TIN rate expression in each of its
+    states as ints on it: its signal level minus the strongest interference
+    level, taken as at least the noise level 0."""
+    for k, states in enumerate(channel.receivers):
+        scale, (x, *rows) = lcm_scaled(r, *states)
+        yield scale, [row[k] + x[k] - _interference(row, x, k) for row in rows]
+
+
+def _achieved(channel, r) -> tuple[Fraction, ...]:
+    """:func:`achieved_gdof` of a validated channel and coerced exponents."""
+    return tuple(Fraction(max(min(rates), 0), scale)
+                 for scale, rates in _state_rates(channel, r))
 
 
 def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
     """Per-user GDoF when all interference is treated as noise, worst state."""
     validate(channel)
-    r = power_exponents(r, channel.K)
-    return tuple(max(_worst_state(channel, r, k), ZERO) for k in range(channel.K))
+    return _achieved(channel, power_exponents(r, channel.K))
 
 
 def certify_allocation(channel, r, d) -> tuple[Fraction, ...]:
-    """The per-state :func:`achieved_gdof` of allocation ``r``, a "yes"
-    certificate: a miss of the coerced target ``d`` raises CertificateError."""
-    achieved = achieved_gdof(channel, r)
+    """The per-state :func:`achieved_gdof` of allocation ``r`` on a channel
+    the caller has validated, a "yes" certificate: a miss of the coerced
+    target ``d`` raises CertificateError."""
+    achieved = _achieved(channel, power_exponents(r, channel.K))
     if any(a < t for a, t in zip(achieved, d, strict=True)):
         raise CertificateError("the allocation does not achieve the target")
     return achieved
@@ -81,15 +94,17 @@ def achieved_gdof_polyhedral(channel, r) -> tuple[Fraction, ...]:
     (the allocation lies outside the polyhedral-valid set)."""
     validate(channel)
     r = power_exponents(r, channel.K)
-    out = tuple(_worst_state(channel, r, k) for k in range(channel.K))
-    for k, value in enumerate(out):
-        if value < 0:
-            state = next(l for l, vec in enumerate(channel.receivers[k])
-                         if _rate_exponent(vec, r, k) == value)
+    out = []
+    for k, (scale, rates) in enumerate(_state_rates(channel, r)):
+        worst = min(rates)
+        value = Fraction(worst, scale)
+        if worst < 0:
+            state = rates.index(worst)
             raise PolyhedralViolationError(
                 f"user {k} state {state} has negative rate expression {value}",
                 user=k, state=state)
-    return out
+        out.append(value)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -100,17 +115,6 @@ class GsfpcTrace:
     iterates: tuple[tuple[Fraction, ...], ...]
     converged: bool
     iterations: int
-
-
-def _interference(rows, x) -> list[int]:
-    """Each receiver's strongest interference level on ints: the noise
-    level 0 stands in for its own term, so the result is at least 0."""
-    out = []
-    for k, row in enumerate(rows):
-        levels = [g + y for g, y in zip(row, x)]
-        levels[k] = 0
-        out.append(max(levels))
-    return out
 
 
 def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
@@ -125,7 +129,7 @@ def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     scale, (*rows, need, x) = lcm_scaled(*a, d, r)
     iterates = [r]
     for n in range(GSFPC_MAX_ITERATIONS):
-        nxt = [need[k] - rows[k][k] + w for k, w in enumerate(_interference(rows, x))]
+        nxt = [need[k] - row[k] + _interference(row, x, k) for k, row in enumerate(rows)]
         iterates.append(tuple(Fraction(v, scale) for v in nxt))
         if nxt == x:
             return iterates[-1], GsfpcTrace(tuple(iterates), True, n + 1)
@@ -179,7 +183,7 @@ def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     K = len(a)
     scale, (*rows, need, r) = lcm_scaled(*a, d, r0)
     floor = [0] * K
-    moving = _interference(rows, r)
+    moving = [_interference(row, r, k) for k, row in enumerate(rows)]
     active = set(range(K))
     updates: list[GgpcUpdate] = []
     while active:
@@ -205,10 +209,10 @@ def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
 def locally_optimal(channel, r, d) -> bool:
     """True iff no user can unilaterally lower its exponent and keep its
     target: each r_k must equal its closed-form unilateral minimum."""
-    a = regular_counterpart(channel).matrix
+    a = regular_counterpart(channel)
     r = power_exponents(r, channel.K)
     d = gdof_tuple(d, channel.K)
-    rate_exps = tuple(_rate_exponent(row, r, k) for k, row in enumerate(a))
+    rate_exps = tuple(Fraction(rates[0], scale) for scale, rates in _state_rates(a, r))
     if any(max(x, ZERO) < t for x, t in zip(rate_exps, d)):
         raise ValueError("allocation does not achieve the target tuple")
     return rate_exps == d
@@ -327,9 +331,9 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     if not active:
         return PowerSolution(algorithm, (None,) * channel.K, silent, False, None,
                              (ZERO,) * channel.K)
-    sub = subnetwork(channel, active) if silent else channel
+    sub = _subnetwork(channel, active) if silent else channel
     d_sub = tuple(d[i] for i in active)
-    verdict = decide(sub, d_sub)
+    verdict = _decide(sub, d_sub)
     if not verdict.sp.feasible:
         raise InfeasibleTargetError(
             f"target ({', '.join(map(render_rational, d))}) is outside the "

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .channel import validate
-from .power import achieved_gdof
-from .rationals import power_exponents
+from .power import _achieved
+from .rationals import lcm_scaled, power_exponents
 
 _LN2 = math.log(2.0)
 
@@ -33,12 +33,26 @@ def _log2_sum_exp2(exponents: Sequence[float]) -> float:
     return top + math.log2(sum(2.0 ** (e - top) for e in exponents))
 
 
-def _state_rate(vec, r, k, log2p: float) -> float:
-    """User k's rate at one receiver state; ``OverflowError`` when a level
-    times log2 P leaves the float range."""
-    num_bits = float(vec[k] + r[k]) * log2p
-    noise_terms = [0.0] + [
-        float(vec[j] + r[j]) * log2p for j in range(len(r)) if j != k]
+def _levels(channel, r):
+    """Per receiver k and state, the levels ``vec[j] + r[j]`` as floats, and
+    ``r`` as floats; None when one leaves the float range. Each level is its
+    int on receiver k's lcm lattice (:func:`lcm_scaled`) over the lattice
+    scale, which rounds the same rational as ``float`` of the Fraction."""
+    try:
+        levels = []
+        for states in channel.receivers:
+            scale, (x, *rows) = lcm_scaled(r, *states)
+            levels.append([[(g + y) / scale for g, y in zip(row, x)] for row in rows])
+        return levels, [float(y) for y in r]
+    except OverflowError:
+        return None
+
+
+def _state_rate(row, k, log2p: float) -> float:
+    """User k's rate at one receiver state with levels ``row``;
+    ``OverflowError`` when the SINR leaves the float range."""
+    num_bits = row[k] * log2p
+    noise_terms = [0.0] + [row[j] * log2p for j in range(len(row)) if j != k]
     sinr_bits = num_bits - _log2_sum_exp2(noise_terms)
     if not math.isfinite(sinr_bits):
         raise OverflowError("rate exponent out of float range")
@@ -70,17 +84,24 @@ def rates(channel, r, P: float) -> RateReport:
     to be finite floats, or when the total transmit power underflows to 0.
     """
     validate(channel)
-    r = power_exponents(r, channel.K)
+    return _report(_levels(channel, power_exponents(r, channel.K)), P)
+
+
+def _report(levels, P) -> RateReport:
+    """:func:`rates` from an allocation's :func:`_levels`."""
     P = float(P)
     if not 1 < P < math.inf:
         raise ValueError("nominal power P must be finite and exceed 1")
     log2p = math.log2(P)
 
     try:
+        if levels is None:  # a level left the float range
+            raise OverflowError
+        per_state, exponents = levels
         per_user = [
-            min(_state_rate(vec, r, k, log2p) for vec in states)
-            for k, states in enumerate(channel.receivers)]
-        total_power = sum(2.0 ** (float(x) * log2p) for x in r)
+            min(_state_rate(row, k, log2p) for row in rows)
+            for k, rows in enumerate(per_state)]
+        total_power = sum(2.0 ** (x * log2p) for x in exponents)
     except OverflowError:
         raise ValueError(
             f"strength levels too large for finite rates at P={P:g}") from None
@@ -103,14 +124,16 @@ def sweep(channel, allocations, P_list) -> list[tuple[str, RateReport]]:
     """Rate table for named allocations at each P, plus a full-power baseline.
 
     ``allocations`` is a sequence of (name, exponent vector) pairs. Rows are
-    sorted by (allocation name, P).
+    sorted by (allocation name, P). Each allocation's levels are computed
+    once, for every P.
     """
     validate(channel)
     rows = []
     named = list(allocations) + [("full_power", (Fraction(0),) * channel.K)]
     for name, r in named:
+        levels = _levels(channel, power_exponents(r, channel.K))
         for P in P_list:
-            rows.append((name, rates(channel, r, P)))
+            rows.append((name, _report(levels, P)))
     rows.sort(key=lambda item: (item[0], item[1].P))
     return rows
 
@@ -130,9 +153,12 @@ def gdof_limit_check(channel, r, P_list) -> GdofLimitResult:
     powers = [float(p) for p in P_list]
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValueError("P_list must be strictly increasing")
+    validate(channel)
+    r = power_exponents(r, channel.K)
+    levels = _levels(channel, r)
     normalized = []
     for P in powers:
-        report = rates(channel, r, P)
+        report = _report(levels, P)
         scale = math.log2(P)
         normalized.append(tuple(x / scale for x in report.rates))
-    return GdofLimitResult(tuple(powers), tuple(normalized), achieved_gdof(channel, r))
+    return GdofLimitResult(tuple(powers), tuple(normalized), _achieved(channel, r))

@@ -39,6 +39,27 @@ def parse_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+def rational_parser():
+    """A :func:`parse_rational` that parses each distinct literal once.
+
+    Literals are keyed on their type as well as their value, so ``True``,
+    ``1``, ``1.0`` and ``"1"`` never share an entry; a literal that is
+    refused, or cannot be hashed, is parsed (and refused) every time.
+    """
+    memo: dict = {}
+
+    def parse(value) -> Fraction:
+        key = (type(value), value)
+        try:
+            return memo[key]
+        except (KeyError, TypeError):  # TypeError: unhashable, refused below
+            pass
+        memo[key] = out = parse_rational(value)
+        return out
+
+    return parse
+
+
 def _from_decimal(text: str, value) -> Fraction:
     try:
         dec = Decimal(text)

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .channel import CompoundChannel, RegularChannel, regular_counterpart, subnetwork
+from .channel import (
+    CompoundChannel,
+    RegularChannel,
+    _counterpart,
+    regular_counterpart,
+    subnetwork,
+    validate,
+)
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
-from .potential import U, PotentialGraph, ShortestPathResult, build_full, shortest_paths
+from .potential import U, PotentialGraph, ShortestPathResult, _build_full, shortest_paths
 from .rationals import gdof_tuple, render_rational
 
 # Cyclic-sequence counts grow super-exponentially; beyond this only the graph
@@ -156,9 +163,14 @@ def decide(channel, d) -> Verdict:
     """Is ``d`` in the region with every user active? The one decision route:
     the counterpart is built once and serves the graph and the bound, which
     ``d`` must strictly violate (else :class:`CertificateError`)."""
-    cp = regular_counterpart(channel)
-    d = gdof_tuple(d, cp.K)
-    graph = build_full(cp, d)
+    validate(channel)
+    return _decide(channel, gdof_tuple(d, channel.K))
+
+
+def _decide(channel, d) -> Verdict:
+    """:func:`decide` on a validated channel and a coerced target."""
+    cp = _counterpart(channel)
+    graph = _build_full(cp, d)
     sp = shortest_paths(graph)
     bound = None if sp.feasible else circuit_bound(cp.matrix, sp.negative_cycle)
     if bound is not None and bound.holds(d):

@@ -10,6 +10,11 @@ potential-form LP: the sum optimum over every vertex (active sets of K
 inequalities), the symmetric optimum as the least rhs per user, and a KKT
 certificate for a claimed sum maximizer.
 
+The channel-layer references compute the regular counterpart, the full
+graph's edge lengths and the per-state achieved GDoF on ``Fraction``s
+themselves, where the package computes each receiver's values as ints on
+that receiver's lcm lattice.
+
 The control references run the power-control updates over every receiver
 state instead of the regular counterpart's rows, starting from the full
 per-state graph's shortest paths as found by :func:`bellman_ford_fractions`,
@@ -201,26 +206,80 @@ def bellman_ford_fractions(graph) -> tp.ShortestPathResult:
     return tp.ShortestPathResult(True, tuple(l_dst), None, None)
 
 
-def _worst_state_rate(channel, r, k) -> Fraction:
+def state_rate(vec, r, k) -> Fraction:
+    """User k's TIN rate expression at the receiver state ``vec``: signal
+    level minus the strongest of the interference levels and the noise
+    level 0."""
+    others = [j for j in range(len(r)) if j != k]
+    return vec[k] + r[k] - max([F(0)] + [vec[j] + r[j] for j in others])
+
+
+def worst_state_rate(channel, r, k) -> Fraction:
     """User k's TIN rate expression minimised over its receiver states."""
-    others = [j for j in range(channel.K) if j != k]
-    return min(vec[k] + r[k] - max([F(0)] + [vec[j] + r[j] for j in others])
-               for vec in channel.receivers[k])
+    return min(state_rate(vec, r, k) for vec in channel.receivers[k])
+
+
+def achieved_gdof_fractions(channel, r) -> tuple[Fraction, ...]:
+    """``tp.achieved_gdof``: each user's worst-state rate, clamped at 0."""
+    return tuple(max(worst_state_rate(channel, r, k), F(0)) for k in range(channel.K))
+
+
+def regular_counterpart_fractions(channel) -> tuple[tuple[Fraction, ...], ...]:
+    """``tp.regular_counterpart(channel).matrix``: per receiver the weakest
+    direct strength, and per cross link that minus the least gain (direct
+    minus cross) over the receiver's states."""
+    rows = []
+    for k, states in enumerate(channel.receivers):
+        direct = min(vec[k] for vec in states)
+        rows.append(tuple(
+            direct if j == k else direct - min(vec[k] - vec[j] for vec in states)
+            for j in range(channel.K)))
+    return tuple(rows)
+
+
+def full_graph_fractions(channel, d) -> tp.PotentialGraph:
+    """``tp.build_full`` with every edge length computed on ``Fraction``s,
+    edges in the same order."""
+    d = tp.gdof_tuple(d, channel.K)
+    K, receivers = channel.K, channel.receivers
+    vertices = [(k, l) for k in range(K) for l in range(len(receivers[k]))]
+    vertices.append(tp.U)
+    edges = []
+    for k in range(K):
+        for l in range(len(receivers[k])):
+            for l2 in range(len(receivers[k])):
+                if l2 != l:
+                    edges.append(((k, l), (k, l2), F(0)))
+    for k in range(K):
+        for l, vec in enumerate(receivers[k]):
+            for j in range(K):
+                if j == k:
+                    continue
+                for lj in range(len(receivers[j])):
+                    edges.append(((k, l), (j, lj), vec[k] - vec[j] - d[k]))
+    for k in range(K):
+        for l, vec in enumerate(receivers[k]):
+            edges.append(((k, l), tp.U, vec[k] - d[k]))
+    for k in range(K):
+        for l in range(len(receivers[k])):
+            edges.append((tp.U, (k, l), F(0)))
+    return tp.PotentialGraph(K, tuple(vertices), tuple(edges))
 
 
 def gsfpc_step_per_state(channel, r, d) -> tuple[Fraction, ...]:
     """One synchronous fixed-point round: every exponent moves by its user's
     worst-state surplus over the target."""
     return tuple(
-        r[k] + d[k] - _worst_state_rate(channel, r, k) for k in range(channel.K))
+        r[k] + d[k] - worst_state_rate(channel, r, k) for k in range(channel.K))
 
 
 def ggpc_per_state(channel, d):
     """The K-update control with each margin taken over every receiver state
-    (the worst state counts) and each trace row's achieved GDoF from the
-    per-state ``achieved_gdof``. Returns ``(r, GgpcTrace)``."""
+    (the worst state counts), started from the Fraction full graph and
+    with each trace row's achieved GDoF from :func:`achieved_gdof_fractions`,
+    so no step runs the package's int code. Returns ``(r, GgpcTrace)``."""
     d = tp.gdof_tuple(d, channel.K)
-    r0 = bellman_ford_fractions(tp.build_full(channel, d)).l_dst
+    r0 = bellman_ford_fractions(full_graph_fractions(channel, d)).l_dst
     r = list(r0)
     active = set(range(channel.K))
     fixed: list[int] = []
@@ -240,7 +299,7 @@ def ggpc_per_state(channel, d):
         active -= set(newly)
         fixed.extend(newly)
         updates.append(tp.GgpcUpdate(
-            delta, newly, tuple(r), tp.achieved_gdof(channel, r)))
+            delta, newly, tuple(r), achieved_gdof_fractions(channel, r)))
     return tuple(r), tp.GgpcTrace(r0, tuple(updates))
 
 

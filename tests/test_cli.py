@@ -397,7 +397,7 @@ def test_inconsistent_bellman_ford_exits_3(capsys, monkeypatch):
             (tp.U, (0, 0), F(0)), (tp.U, (0, 1), F(-1)))),
     ]
     for graph, message in zip(graphs, ["is not negative", "user 1 disagree"]):
-        monkeypatch.setattr(region, "build_full", lambda channel, d: graph)
+        monkeypatch.setattr(region, "_build_full", lambda channel, d: graph)
         code, out, err = run(
             capsys, "feasible", "--channel", str(CHANNELS / "asym3.json"),
             "--target", "1,1,1")
@@ -652,3 +652,53 @@ def test_hostile_numbers_exit_2(tmp_path, capsys, command, strength, flags):
     code, _, err = run(capsys, command, "--channel", path, *flags)
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("state, message", [
+    ([1, True], "booleans are not valid rationals"),   # True must not hit 1's entry
+    (["0.5", "1e1001"], "decimal exponent 1001 exceeds the limit of 1000 in magnitude"),
+    (["0.5", "NaN"], "not a finite rational: 'NaN'"),
+    (["0.5", "1/0"], "zero denominator in '1/0'"),
+], ids=["bool", "exponent", "nan", "zero-denominator"])
+def test_hostile_literals_refused_after_lookalikes(tmp_path, capsys, state, message):
+    # each literal is parsed once per document; a refused one is refused
+    # wherever it appears, here in receiver 2 after receiver 1 parsed 1 and 0.5
+    path = write(tmp_path, "hostile.json", {
+        "K": 2, "receivers": [{"states": [[1, "0.5"]]}, {"states": [state]}]})
+    assert run(capsys, "validate", "--channel", path) == (
+        2, "", f"error: receiver 2: {message}\n")
+
+
+def test_equal_literals_parse_to_equal_entries(tmp_path, capsys):
+    # 1, 1.0, "1" and "1/1" have distinct memo entries but equal values, so
+    # their states coincide and collapse to one
+    path = write(tmp_path, "mixed.json", {"K": 2, "receivers": [
+        {"states": [[1, "0.5"], [1.0, "1/2"], ["1", 0.5], ["1/1", "0.50"]]},
+        {"states": [["0.5", 1]]}]})
+    channel = load_channel_file(path).channel
+    assert channel.receivers == (((F(1), F(1, 2)),), ((F(1, 2), F(1)),))
+    code, out, _ = run(capsys, "validate", "--channel", path, "--json")
+    assert code == 0 and json.loads(out)["states_per_receiver"] == [1, 1]
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["power", "--target", "0.4,0.4", "--alg", "sp"], 2),
+    (["power", "--target", "0,0.4", "--alg", "ggpc"], 2),
+    (["feasible", "--target", "0.4,0.4"], 2),
+    (["rates", "--target", "0.4,0.4", "--alg", "sp,ggpc", "--P", "10,100"], 4),
+], ids=["power-sp", "power-silent", "feasible", "rates"])
+def test_each_entry_point_validates_once(capsys, monkeypatch, argv, count):
+    # the file load and each library entry point validate; internal calls on
+    # a channel already validated go through unvalidated cores
+    import sys
+
+    checked = []
+    real = tp.validate
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tinpower" and getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate",
+                                lambda ch: checked.append(ch) or real(ch))
+    path = str(CHANNELS / "comp2.json")
+    code, _, _ = run(capsys, argv[0], "--channel", path, *argv[1:])
+    assert code == 0
+    assert len(checked) == count

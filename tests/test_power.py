@@ -14,7 +14,16 @@ from fixtures import (
     random_tin_optimal,
     single,
 )
-from oracles import bellman_ford_fractions, ggpc_per_state, gsfpc_step_per_state
+from oracles import (
+    achieved_gdof_fractions,
+    bellman_ford_fractions,
+    full_graph_fractions,
+    ggpc_per_state,
+    gsfpc_step_per_state,
+    regular_counterpart_fractions,
+    state_rate,
+    worst_state_rate,
+)
 
 
 def test_achieved_gdof_two_state(comp2):
@@ -232,6 +241,42 @@ def test_prime_denominators_match_fraction_references():
         assert verdict.sp.feasible == feasible
     sol = tp.solve_power(ch, [F("0.605")] * 60, "ggpc")
     assert (sol.allocation, sol.trace) == ggpc_per_state(ch, [F("0.605")] * 60)
+
+
+def test_channel_layer_matches_fraction_references_seeded():
+    # the counterpart, the full graph's edge lengths and the per-state
+    # achieved GDoF run on each receiver's own lcm lattice; they must equal
+    # their Fraction definitions on decimal grids (K 1-40, 1-3 states), on
+    # prime denominators, and under allocations with negative entries, some
+    # clamped at 0 and some outside the polyhedral set
+    rng = random.Random(61)
+    channels = [random_compound(rng, K=K, step=F(1, 100))
+                for K in (1, 2, 3, 5, 8, 13, 20, 40)]
+    channels += [random_compound(rng, K=rng.randint(1, 6)) for _ in range(40)]
+    channels.append(prime_denominator_channel(random.Random(60), 60))
+    violations = 0
+    for ch in channels:
+        K = ch.K
+        matrix = regular_counterpart_fractions(ch)
+        assert tp.regular_counterpart(ch).matrix == matrix
+        d = [grid_value(rng, F(1), F(1, 7)) for _ in range(K)]
+        assert tp.build_full(ch, d) == full_graph_fractions(ch, d)
+        counterpart = tp.CompoundChannel(K, tuple((row,) for row in matrix))
+        assert tp.build_reduced(ch, d) == full_graph_fractions(counterpart, d)
+        for r in ([F(0)] * K, [-grid_value(rng, F(3), F(1, 3)) for _ in range(K)]):
+            assert tp.achieved_gdof(ch, r) == achieved_gdof_fractions(ch, r)
+            worst = [worst_state_rate(ch, r, k) for k in range(K)]
+            negative = [k for k, x in enumerate(worst) if x < 0]
+            if not negative:
+                assert tp.achieved_gdof_polyhedral(ch, r) == tuple(worst)
+                continue
+            violations += 1
+            with pytest.raises(tp.PolyhedralViolationError) as err:
+                tp.achieved_gdof_polyhedral(ch, r)
+            k = negative[0]
+            per_state = [state_rate(vec, r, k) for vec in ch.receivers[k]]
+            assert (err.value.user, err.value.state) == (k, per_state.index(worst[k]))
+    assert violations >= 10
 
 
 def test_ggpc_trace_invariants_random():

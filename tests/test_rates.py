@@ -149,3 +149,26 @@ def test_huge_strength_levels_stay_finite():
     for rate in report.rates:
         assert math.isfinite(rate)
         assert rate == pytest.approx((300 - 150) * logp, rel=1e-9)
+
+
+def test_levels_are_the_floats_of_their_fractions():
+    # a sweep converts each allocation's levels once, from ints on each
+    # receiver's lcm lattice; every level must be the same double as float()
+    # of the Fraction vec[j] + r[j], so rate tables do not move
+    import random
+
+    from fixtures import prime_denominator_channel, random_compound
+    from tinpower.rates import _levels
+
+    rng = random.Random(65)
+    channels = [prime_denominator_channel(rng, 12)]
+    channels += [random_compound(rng, K=rng.randint(1, 6), step=F(1, 7))
+                 for _ in range(20)]
+    for ch in channels:
+        r = [-F(rng.randint(0, 10**6), rng.choice([3, 7, 10**5 + 3]))
+             for _ in range(ch.K)]
+        levels, exponents = _levels(ch, r)
+        assert exponents == [float(x) for x in r]
+        assert levels == [[[float(v + x) for v, x in zip(vec, r)] for vec in states]
+                          for states in ch.receivers]
+        assert _levels(ch, [-F(10**400)] + [F(0)] * (ch.K - 1)) is None
