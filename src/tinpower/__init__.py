@@ -21,37 +21,24 @@ from .errors import (
     GuardExceededError,
     InfeasibleTargetError,
     NonConvergenceError,
-    PolyhedralViolationError,
 )
-from .potential import (
-    PotentialGraph,
-    ShortestPathResult,
-    U,
-    build_full,
-    build_reduced,
-    shortest_paths,
-)
+from .potential import PotentialGraph, ShortestPathResult, U, build_full, shortest_paths
 from .power import (
     GgpcTrace,
     GgpcUpdate,
     GsfpcTrace,
     PowerSolution,
     achieved_gdof,
-    achieved_gdof_polyhedral,
-    locally_optimal,
     oracle_globally_optimal,
     solve_power,
 )
-from .rates import GdofLimitResult, RateReport, gdof_limit_check, rates, sweep
+from .rates import RateReport, rates, sweep
 from .region import (
     Constraint,
     RegionConstraints,
-    circuit_bound,
     decide,
-    enumerate_cycles,
     improvable_users,
     member,
-    member_star,
     pareto,
     region_constraints,
     sum_gdof,
@@ -59,4 +46,24 @@ from .region import (
 )
 from .rationals import gdof_tuple, parse_rational, power_exponents, render_rational
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # channels
+    "CompoundChannel", "RegularChannel", "TinViolation", "from_entrywise_sets",
+    "from_joint_set", "is_regular", "regular_counterpart", "subnetwork",
+    "tin_optimal", "validate",
+    # errors
+    "CertificateError", "ChannelValidationError", "EmptyRegionError",
+    "GuardExceededError", "InfeasibleTargetError", "NonConvergenceError",
+    # potential graphs
+    "PotentialGraph", "ShortestPathResult", "U", "build_full", "shortest_paths",
+    # power control
+    "GgpcTrace", "GgpcUpdate", "GsfpcTrace", "PowerSolution", "achieved_gdof",
+    "oracle_globally_optimal", "solve_power",
+    # finite-SNR rates (``rates`` is the function; it shadows the submodule)
+    "RateReport", "rates", "sweep",
+    # region
+    "Constraint", "RegionConstraints", "decide", "improvable_users", "member",
+    "pareto", "region_constraints", "sum_gdof", "symmetric_gdof",
+    # rationals
+    "gdof_tuple", "parse_rational", "power_exponents", "render_rational",
+]

@@ -69,14 +69,6 @@ class RegularChannel:
     channel: CompoundChannel
 
     @classmethod
-    def of(cls, channel: CompoundChannel) -> "RegularChannel":
-        validate(channel)
-        if any(n != 1 for n in channel.state_counts):
-            raise ChannelValidationError(
-                "regular channel requires exactly one state per receiver")
-        return cls(channel)
-
-    @classmethod
     def from_matrix(cls, matrix) -> "RegularChannel":
         # one state per receiver by construction; from_lists validates
         return cls(CompoundChannel.from_lists([[row] for row in matrix]))

@@ -4,7 +4,8 @@ Every invocation loads a JSON channel file, runs one command and prints a
 report (human text by default, machine JSON with --json; the two carry the
 same numbers). Exit codes: 0 success, 1 negative verdict on a yes/no query,
 2 input or parse problems, 3 a verdict whose certificate failed its check
-(a ``CertificateError``, raised where the library builds it).
+(a ``CertificateError``, raised where the library builds it), 141 stdout
+closed before the report was written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +21,7 @@ from fractions import Fraction
 from .channel import (
     CompoundChannel,
     TinViolation,
+    _counterpart,
     _distinct,
     regular_counterpart,
     tin_optimal,
@@ -31,7 +34,7 @@ from .errors import (
     InfeasibleTargetError,
     NonConvergenceError,
 )
-from .potential import build_full, build_reduced, vertex_label
+from .potential import _build_full, vertex_label
 from .power import (
     ALGORITHMS,
     GgpcTrace,
@@ -53,6 +56,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a write to a closed pipe
 
 
 class CliInputError(Exception):
@@ -180,10 +184,12 @@ def _cycle_data(cycle, length) -> dict:
 
 
 def _dump_graphs(channel, d) -> None:
+    """The reduced and full graphs at the parsed target ``d``; the channel
+    was validated at load, so the unvalidated cores serve."""
     print("# reduced potential graph", file=sys.stderr)
-    print(build_reduced(channel, d).dump(), file=sys.stderr)
+    print(_build_full(_counterpart(channel), d).dump(), file=sys.stderr)
     print("# full potential graph", file=sys.stderr)
-    print(build_full(channel, d).dump(), file=sys.stderr)
+    print(_build_full(channel, d).dump(), file=sys.stderr)
 
 
 def cmd_validate(args) -> int:
@@ -512,7 +518,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so that the interpreter's
+        # final flush of what is still buffered does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

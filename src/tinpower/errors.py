@@ -37,15 +37,6 @@ class InfeasibleTargetError(ValueError):
         self.bound = bound
 
 
-class PolyhedralViolationError(ValueError):
-    """A power allocation drives some user's rate expression negative."""
-
-    def __init__(self, message, *, user=None, state=None):
-        super().__init__(message)
-        self.user = user
-        self.state = state
-
-
 class CertificateError(RuntimeError):
     """A verdict's certificate failed its check: the program is at fault."""
 

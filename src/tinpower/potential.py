@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .channel import _counterpart, validate
+from .channel import validate
 from .errors import CertificateError
 from .rationals import gdof_tuple, lcm_scaled, render_rational
 
@@ -60,7 +60,8 @@ class ShortestPathResult:
 def build_full(channel, d) -> PotentialGraph:
     """Graph over every (user, state) pair. Cost grows with state counts, so
     production paths build it on the regular counterpart (one state per
-    user), as :func:`build_reduced` does."""
+    user): the reduced graph, whose feasibility and shortest-path lengths
+    from ``u`` agree exactly with the full graph's."""
     validate(channel)
     return _build_full(channel, gdof_tuple(d, channel.K))
 
@@ -102,16 +103,6 @@ def _build_full(channel, target) -> PotentialGraph:
         for l in range(len(receivers[k])):
             edges.append((U, (k, l), ZERO))
     return PotentialGraph(K, tuple(vertices), tuple(edges))
-
-
-def build_reduced(channel, d) -> PotentialGraph:
-    """K+1-vertex graph of the regular counterpart.
-
-    Feasibility and every shortest-path length from ``u`` agree exactly with
-    the full graph, at a cost independent of the state counts.
-    """
-    validate(channel)
-    return _build_full(_counterpart(channel), gdof_tuple(d, channel.K))
 
 
 def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:

@@ -23,13 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import _subnetwork, is_regular, regular_counterpart, validate
+from .channel import _subnetwork, is_regular, validate
 from .errors import (
     CertificateError,
     GuardExceededError,
     InfeasibleTargetError,
     NonConvergenceError,
-    PolyhedralViolationError,
 )
 from .potential import U
 from .rationals import (
@@ -57,20 +56,18 @@ def _interference(row, x, k) -> int:
     return max(levels)
 
 
-def _state_rates(channel, r):
-    """Per user k: the lcm lattice ``scale`` of receiver k's states and
-    ``r`` (:func:`lcm_scaled`), and k's TIN rate expression in each of its
-    states as ints on it: its signal level minus the strongest interference
+def _achieved(channel, r) -> tuple[Fraction, ...]:
+    """:func:`achieved_gdof` of a validated channel and coerced exponents.
+    User k's TIN rate expression in each of its states is computed as ints
+    on the lcm lattice ``scale`` of receiver k's states and ``r``
+    (:func:`lcm_scaled`): its signal level minus the strongest interference
     level, taken as at least the noise level 0."""
+    out = []
     for k, states in enumerate(channel.receivers):
         scale, (x, *rows) = lcm_scaled(r, *states)
-        yield scale, [row[k] + x[k] - _interference(row, x, k) for row in rows]
-
-
-def _achieved(channel, r) -> tuple[Fraction, ...]:
-    """:func:`achieved_gdof` of a validated channel and coerced exponents."""
-    return tuple(Fraction(max(min(rates), 0), scale)
-                 for scale, rates in _state_rates(channel, r))
+        worst = min(row[k] + x[k] - _interference(row, x, k) for row in rows)
+        out.append(Fraction(max(worst, 0), scale))
+    return tuple(out)
 
 
 def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
@@ -87,24 +84,6 @@ def certify_allocation(channel, r, d) -> tuple[Fraction, ...]:
     if any(a < t for a, t in zip(achieved, d, strict=True)):
         raise CertificateError("the allocation does not achieve the target")
     return achieved
-
-
-def achieved_gdof_polyhedral(channel, r) -> tuple[Fraction, ...]:
-    """Unclamped variant; raises when some user's rate expression is negative
-    (the allocation lies outside the polyhedral-valid set)."""
-    validate(channel)
-    r = power_exponents(r, channel.K)
-    out = []
-    for k, (scale, rates) in enumerate(_state_rates(channel, r)):
-        worst = min(rates)
-        value = Fraction(worst, scale)
-        if worst < 0:
-            state = rates.index(worst)
-            raise PolyhedralViolationError(
-                f"user {k} state {state} has negative rate expression {value}",
-                user=k, state=state)
-        out.append(value)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -204,18 +183,6 @@ def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
         updates.append(GgpcUpdate(Fraction(delta, scale), newly,
                                   tuple(Fraction(x, scale) for x in r), achieved))
     return updates[-1].r, GgpcTrace(r0, tuple(updates))
-
-
-def locally_optimal(channel, r, d) -> bool:
-    """True iff no user can unilaterally lower its exponent and keep its
-    target: each r_k must equal its closed-form unilateral minimum."""
-    a = regular_counterpart(channel)
-    r = power_exponents(r, channel.K)
-    d = gdof_tuple(d, channel.K)
-    rate_exps = tuple(Fraction(rates[0], scale) for scale, rates in _state_rates(a, r))
-    if any(max(x, ZERO) < t for x, t in zip(rate_exps, d)):
-        raise ValueError("allocation does not achieve the target tuple")
-    return rate_exps == d
 
 
 def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:

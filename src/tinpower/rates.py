@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .channel import validate
-from .power import _achieved
 from .rationals import lcm_scaled, power_exponents
 
 _LN2 = math.log(2.0)
@@ -136,29 +135,3 @@ def sweep(channel, allocations, P_list) -> list[tuple[str, RateReport]]:
             rows.append((name, _report(levels, P)))
     rows.sort(key=lambda item: (item[0], item[1].P))
     return rows
-
-
-@dataclass(frozen=True)
-class GdofLimitResult:
-    """Normalized rates R_k / log2(P) along an increasing power sweep, plus
-    the exact high-power limit they approach."""
-
-    P_list: tuple[float, ...]
-    normalized: tuple[tuple[float, ...], ...]
-    achieved: tuple[Fraction, ...]
-
-
-def gdof_limit_check(channel, r, P_list) -> GdofLimitResult:
-    """Normalized-rate sequences for an increasing list of powers."""
-    powers = [float(p) for p in P_list]
-    if any(b <= a for a, b in zip(powers, powers[1:])):
-        raise ValueError("P_list must be strictly increasing")
-    validate(channel)
-    r = power_exponents(r, channel.K)
-    levels = _levels(channel, r)
-    normalized = []
-    for P in powers:
-        report = _report(levels, P)
-        scale = math.log2(P)
-        normalized.append(tuple(x / scale for x in report.rates))
-    return GdofLimitResult(tuple(powers), tuple(normalized), _achieved(channel, r))

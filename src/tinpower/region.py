@@ -3,10 +3,11 @@
 The region with all users active is cut out by per-user upper bounds plus one
 sum bound per cyclic sequence of users; state uncertainty collapses through
 the regular counterpart. Every yes/no question is decided by :func:`decide`
-on its potential graph, whose circuits are exactly these bounds; the sum
-and symmetric optima solve one LP over its potentials (Geng, Naderializadeh,
-Avestimehr and Jafar, IEEE T-IT 2015). The enumerated list serves only the
-export. Everything here is exact rational arithmetic.
+on its potential graph, whose circuits are exactly these bounds (Geng,
+Naderializadeh, Avestimehr and Jafar, IEEE T-IT 2015). The symmetric
+optimum is a short sequence of these decisions; the sum optimum solves one
+LP over the graph's potentials. The enumerated list serves only the export.
+Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .channel import (
     RegularChannel,
     _counterpart,
     regular_counterpart,
-    subnetwork,
     validate,
 )
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
@@ -32,6 +32,8 @@ from .rationals import gdof_tuple, render_rational
 CYCLE_GUARD_K = 10
 
 ZERO = Fraction(0)
+
+EMPTY_REGION = "polyhedral region is empty (a sum bound is negative)"
 
 
 @dataclass(frozen=True)
@@ -200,20 +202,6 @@ def member(channel, d, constraints: RegionConstraints | None = None,
     return True, None
 
 
-def member_star(channel: CompoundChannel, d) -> bool:
-    """Membership in the full achievable region, where users with zero target
-    may be switched off entirely (removing their interference).
-
-    Deactivating every zero-target user is at least as permissive as any
-    smaller shutdown set, so a single subnetwork test decides the whole union
-    over shutdown sets.
-    """
-    target = gdof_tuple(d, channel.K)
-    active = [i for i, x in enumerate(target) if x > 0]
-    return not active or member(
-        subnetwork(channel, active), [target[i] for i in active])[0]
-
-
 def improvable_users(verdict: Verdict) -> tuple[int, ...]:
     """The users a member target can still raise alone: those on no tight
     region bound, i.e. on no zero-length circuit of its potential graph.
@@ -269,8 +257,7 @@ def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
     K = channel.K
     verdict = decide(channel, (ZERO,) * K)
     if not verdict.sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
-        raise EmptyRegionError(
-            "polyhedral region is empty (a sum bound is negative)")
+        raise EmptyRegionError(EMPTY_REGION)
     rows = []
     for src, dst, x in verdict.reduced_edges():
         if src == U:
@@ -326,9 +313,25 @@ def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 
 def symmetric_gdof(channel) -> Fraction:
-    """Largest t with (t, ..., t) in the region: the LP of :func:`sum_gdof`
-    with every target replaced by t. It equals the least rhs per user over
-    the region's inequalities."""
-    K = channel.K
-    rows = [([sum(c[:K])] + c[K:], rhs) for c, rhs in _potential_rows(channel)]
-    return _lex_max(rows, [[1] + [0] * K])[0]
+    """Largest t with (t, ..., t) in the region: Dinkelbach's iteration on
+    :func:`decide`. From the least direct strength of the counterpart, each
+    "no" names a bound that (t, ..., t) violates, and t drops to that
+    bound's rhs per user, strictly below the last t. The first "yes" is
+    checked by its reduced edges, and the bound that set t must be tight at
+    it, so no larger t is in the region (else :class:`CertificateError`).
+    A t below 0 means the region is empty."""
+    validate(channel)
+    K, a = channel.K, _counterpart(channel).matrix
+    k = min(range(K), key=lambda i: a[i][i])
+    t, bound = a[k][k], cycle_bound(a, (k,))
+    while t >= 0:
+        verdict = _decide(channel, (t,) * K)
+        if verdict.sp.feasible:
+            verdict.reduced_edges()
+            if bound.slack((t,) * K) != 0:
+                raise CertificateError(f"the bound {bound.export_line(K)} "
+                                       f"is not tight at {render_rational(t)}")
+            return t
+        bound = verdict.bound
+        t = bound.rhs / len(bound.users)
+    raise EmptyRegionError(EMPTY_REGION)

@@ -178,3 +178,14 @@ def pareto_target(rng: random.Random, channel: tp.CompoundChannel,
         gain = min(c.slack(d) for c in cons.constraints if k in c.users)
         d[k] += gain
     return tuple(d)
+
+
+def in_full_region(channel, d) -> bool:
+    """Membership in the full achievable region, where zero-target users may
+    be switched off: ``solve_power`` switches them all off, which is at least
+    as permissive as any smaller shutdown set, and raises on a target outside."""
+    try:
+        tp.solve_power(channel, d, "sp")
+    except tp.InfeasibleTargetError:
+        return False
+    return True

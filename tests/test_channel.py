@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
@@ -234,11 +235,6 @@ def test_subnetwork_projects_and_dedups():
     assert sub.receivers[0][0] == (F(1), F("0.5"))
 
 
-def test_regular_channel_rejects_multi_state(comp2):
-    with pytest.raises(tp.ChannelValidationError):
-        tp.RegularChannel.of(comp2)
-
-
 @given(st.lists(
     st.fractions(min_value=0, max_value=4).map(lambda q: q.limit_denominator(20)),
     min_size=2, max_size=9))
@@ -263,20 +259,14 @@ CHANNEL_CALLS = {
     "regular_counterpart": tp.regular_counterpart,
     "subnetwork": lambda ch: tp.subnetwork(ch, [0, 2]),
     "build_full": lambda ch: tp.build_full(ch, MIX3_TARGET),
-    "build_reduced": lambda ch: tp.build_reduced(ch, MIX3_TARGET),
     "region_constraints": tp.region_constraints,
     "member": lambda ch: tp.member(ch, MIX3_TARGET),
-    "member_star": lambda ch: tp.member_star(ch, ["0.5", "0", "0.7"]),
     "pareto": lambda ch: tp.pareto(ch, MIX3_TARGET),
     "sum_gdof": tp.sum_gdof,
     "symmetric_gdof": tp.symmetric_gdof,
     "achieved_gdof": lambda ch: tp.achieved_gdof(ch, ["-0.1", "0", "-0.2"]),
-    "achieved_gdof_polyhedral":
-        lambda ch: tp.achieved_gdof_polyhedral(ch, _ggpc_allocation(ch)),
     "gsfpc": lambda ch: tp.solve_power(ch, MIX3_TARGET, "gsfpc"),
     "ggpc": lambda ch: tp.solve_power(ch, MIX3_TARGET, "ggpc"),
-    "locally_optimal":
-        lambda ch: tp.locally_optimal(ch, _ggpc_allocation(ch), MIX3_TARGET),
     "oracle_globally_optimal": lambda ch: tp.oracle_globally_optimal(
         ch, _ggpc_allocation(ch), MIX3_TARGET, "0.1", "-1"),
     "solve_power": lambda ch: [
@@ -284,8 +274,6 @@ CHANNEL_CALLS = {
         for alg in ("sp", "gsfpc", "ggpc", "ggpc-c")],
     "rates": lambda ch: tp.rates(ch, ["-0.1", "0", "-0.2"], 100),
     "sweep": lambda ch: tp.sweep(ch, [("x", ["-0.1", "0", "-0.2"])], [10, 100]),
-    "gdof_limit_check":
-        lambda ch: tp.gdof_limit_check(ch, ["-0.1", "0", "-0.2"], [10, 100]),
 }
 
 
@@ -294,3 +282,24 @@ def test_regular_channel_reads_as_its_channel(name):
     call = CHANNEL_CALLS[name]
     reg = tp.RegularChannel.from_matrix(MIX3_MATRIX)
     assert call(reg) == call(reg.channel)
+
+
+def test_public_names_are_pinned():
+    # adding or removing a public name is a deliberate edit of this list;
+    # submodules are reached as attributes, never exported (``rates`` is the
+    # function, which shadows its submodule)
+    assert sorted(tp.__all__) == sorted([
+        "CompoundChannel", "RegularChannel", "TinViolation", "from_entrywise_sets",
+        "from_joint_set", "is_regular", "regular_counterpart", "subnetwork",
+        "tin_optimal", "validate",
+        "CertificateError", "ChannelValidationError", "EmptyRegionError",
+        "GuardExceededError", "InfeasibleTargetError", "NonConvergenceError",
+        "PotentialGraph", "ShortestPathResult", "U", "build_full", "shortest_paths",
+        "GgpcTrace", "GgpcUpdate", "GsfpcTrace", "PowerSolution", "achieved_gdof",
+        "oracle_globally_optimal", "solve_power",
+        "RateReport", "rates", "sweep",
+        "Constraint", "RegionConstraints", "decide", "improvable_users", "member",
+        "pareto", "region_constraints", "sum_gdof", "symmetric_gdof",
+        "gdof_tuple", "parse_rational", "power_exponents", "render_rational",
+    ])
+    assert all(not isinstance(getattr(tp, name), ModuleType) for name in tp.__all__)

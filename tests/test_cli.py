@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,9 +12,10 @@ import pytest
 import tinpower as tp
 from tinpower.cli import ALGORITHMS, load_channel_file, main
 
-from fixtures import grid_value, random_compound
+from fixtures import grid_value, in_full_region, random_compound
 
-CHANNELS = Path(__file__).parent.parent / "channels"
+ROOT = Path(__file__).resolve().parent.parent
+CHANNELS = ROOT / "channels"
 
 
 def run(capsys, *argv):
@@ -458,7 +462,8 @@ def test_power_infeasible_circuit_is_one_of_the_full_graph_seeded(tmp_path, caps
             doc = json.loads(out)
             cycle = [_parse_vertex(v) for v in doc["negative_cycle"]["vertices"]]
             assert all(v == tp.U or d[v[0]] > 0 for v in cycle)
-            weight = {(s, t): w for s, t, w in tp.build_reduced(ch, d).edges}
+            graph = tp.build_full(tp.regular_counterpart(ch), d)
+            weight = {(s, t): w for s, t, w in graph.edges}
             length = sum(weight[cycle[i], cycle[(i + 1) % len(cycle)]]
                          for i in range(len(cycle)))
             assert length < 0
@@ -489,7 +494,7 @@ def test_yes_no_commands_never_enumerate(capsys, monkeypatch):
         ch = load_channel_file(path).channel
         assert tp.member(ch, inside.split(","))[0]
         assert not tp.member(ch, outside.split(","))[0]
-        assert not tp.member_star(ch, outside.split(","))
+        assert not in_full_region(ch, outside.split(","))
 
 
 def test_feasible_and_pareto_answer_past_the_enumeration_guard(tmp_path, capsys):
@@ -685,13 +690,12 @@ def test_equal_literals_parse_to_equal_entries(tmp_path, capsys):
     (["power", "--target", "0.4,0.4", "--alg", "sp"], 2),
     (["power", "--target", "0,0.4", "--alg", "ggpc"], 2),
     (["feasible", "--target", "0.4,0.4"], 2),
+    (["feasible", "--target", "0.4,0.4", "--debug-graph"], 2),
     (["rates", "--target", "0.4,0.4", "--alg", "sp,ggpc", "--P", "10,100"], 4),
-], ids=["power-sp", "power-silent", "feasible", "rates"])
+], ids=["power-sp", "power-silent", "feasible", "feasible-debug-graph", "rates"])
 def test_each_entry_point_validates_once(capsys, monkeypatch, argv, count):
     # the file load and each library entry point validate; internal calls on
     # a channel already validated go through unvalidated cores
-    import sys
-
     checked = []
     real = tp.validate
     for name, module in list(sys.modules.items()):
@@ -699,6 +703,37 @@ def test_each_entry_point_validates_once(capsys, monkeypatch, argv, count):
             monkeypatch.setattr(module, "validate",
                                 lambda ch: checked.append(ch) or real(ch))
     path = str(CHANNELS / "comp2.json")
-    code, _, _ = run(capsys, argv[0], "--channel", path, *argv[1:])
+    code, _, err = run(capsys, argv[0], "--channel", path, *argv[1:])
     assert code == 0
     assert len(checked) == count
+    if "--debug-graph" in argv:
+        ch, d = load_channel_file(path).channel, argv[2].split(",")
+        assert err == (
+            f"# reduced potential graph\n"
+            f"{tp.build_full(tp.regular_counterpart(ch), d).dump()}\n"
+            f"# full potential graph\n{tp.build_full(ch, d).dump()}\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["region", "--channel", str(CHANNELS / "mix3.json"), "--json"],
+    ["feasible", "--channel", str(CHANNELS / "asym3.json"), "--target", "2,2,0"],
+    ["rates", "--channel", str(CHANNELS / "sym4.json"), "--alg", "sp", "--P", "10,100"],
+], ids=["region", "feasible-no", "rates"])
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    # a reader that leaves early (`| head -c 10`) closes the pipe before the
+    # report is written: no traceback, and no exit code that reads as a
+    # verdict, whether the write fails at once or at the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tinpower.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -59,7 +59,7 @@ def test_full_graph_single_user():
 
 
 def test_reduced_graph_cross_lengths(mix3):
-    g = tp.build_reduced(mix3, ["0.5", "0.6", "0.7"])
+    g = tp.build_full(tp.regular_counterpart(mix3), ["0.5", "0.6", "0.7"])
     w = edge_map(g)
     expected = {
         (0, 1): F("1.1"), (0, 2): F("0.5"),
@@ -71,7 +71,7 @@ def test_reduced_graph_cross_lengths(mix3):
 
 
 def test_reduced_graph_two_state(comp2):
-    g = tp.build_reduced(comp2, ["0.5", "0.5"])
+    g = tp.build_full(tp.regular_counterpart(comp2), ["0.5", "0.5"])
     w = edge_map(g)
     assert w[((0, 0), (1, 0))] == 0
     assert w[((1, 0), (0, 0))] == 0
@@ -82,18 +82,19 @@ def test_reduced_graph_two_state(comp2):
 def test_reduced_equals_full_for_regular(asym3):
     d = [1, 1, 1]
     full = tp.build_full(asym3, d)
-    reduced = tp.build_reduced(asym3, d)
+    reduced = tp.build_full(tp.regular_counterpart(asym3), d)
     assert set(full.edges) == set(reduced.edges)
 
 
 def test_shortest_paths_walkthrough(mix3):
-    sp = tp.shortest_paths(tp.build_reduced(mix3, ["0.5", "0.6", "0.7"]))
+    g = tp.build_full(tp.regular_counterpart(mix3), ["0.5", "0.6", "0.7"])
+    sp = tp.shortest_paths(g)
     assert sp.feasible
     assert sp.l_dst == (F("-0.1"), F(0), F("-0.1"))
 
 
 def test_shortest_paths_asym3(asym3):
-    g = tp.build_reduced(asym3, [1, 1, 1])
+    g = tp.build_full(tp.regular_counterpart(asym3), [1, 1, 1])
     sp = tp.shortest_paths(g)
     assert sp.feasible
     assert sp.l_dst == (F("-0.4"), F("-0.2"), F(0))
@@ -103,7 +104,7 @@ def test_shortest_paths_asym3(asym3):
 
 
 def test_negative_cycle_witness(asym3):
-    g = tp.build_reduced(asym3, [2, 2, 0])
+    g = tp.build_full(tp.regular_counterpart(asym3), [2, 2, 0])
     sp = tp.shortest_paths(g)
     assert not sp.feasible
     assert sp.cycle_length < 0
@@ -128,7 +129,8 @@ def test_reduction_equality_random():
         ch = random_compound(rng)
         d = [rng.choice(["0", "0.3", "0.6", "1", "1.5"]) for _ in range(ch.K)]
         full = tp.shortest_paths(tp.build_full(ch, d))
-        reduced = tp.shortest_paths(tp.build_reduced(ch, d))
+        cp = tp.regular_counterpart(ch)
+        reduced = tp.shortest_paths(tp.build_full(cp, d))
         assert full.feasible == reduced.feasible
         if full.feasible:
             assert full.l_dst == reduced.l_dst
@@ -168,7 +170,7 @@ def test_states_of_one_user_share_distance(comp2):
 
 
 def test_dump_format(mix3):
-    g = tp.build_reduced(mix3, ["0.5", "0.6", "0.7"])
+    g = tp.build_full(tp.regular_counterpart(mix3), ["0.5", "0.6", "0.7"])
     lines = g.dump().splitlines()
     assert len(lines) == len(g.edges)
     assert all(len(line.split()) == 3 for line in lines)

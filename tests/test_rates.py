@@ -77,41 +77,38 @@ def test_sweep_single_allocation_single_p(sym4):
     assert rows[0][1].rates == rows[1][1].rates
 
 
+def normalized(ch, r, P) -> list[float]:
+    """The rates R_k / log2(P) at nominal power P."""
+    return [rate / math.log2(P) for rate in tp.rates(ch, r, P).rates]
+
+
 def test_gdof_limit_walkthrough(mix3):
-    result = tp.gdof_limit_check(mix3, ["-1.2", "-0.4", "-0.7"], [10**6])
-    assert result.achieved == (F("0.5"), F("0.6"), F("0.7"))
-    for norm, target in zip(result.normalized[-1], (0.5, 0.6, 0.7)):
+    r = ["-1.2", "-0.4", "-0.7"]
+    achieved = tp.achieved_gdof(mix3, r)
+    assert achieved == (F("0.5"), F("0.6"), F("0.7"))
+    for norm, target in zip(normalized(mix3, r, 10**6), achieved):
         assert abs(norm - target) < 0.02
 
 
 def test_gdof_limit_full_power(sym4):
     # the interferer-count constant makes convergence slow: the gap at P is
     # essentially log2(3)/log2(P), about 0.06 at 1e8
-    result = tp.gdof_limit_check(sym4, [0, 0, 0, 0], [10**8])
     closed = math.log2(1 + 1e16 / (1 + 3e8)) / math.log2(1e8)
-    for norm in result.normalized[-1]:
+    for norm in normalized(sym4, [0, 0, 0, 0], 10**8):
         assert norm == pytest.approx(closed, abs=1e-9)
-    far = tp.gdof_limit_check(sym4, [0, 0, 0, 0], [10**48])
-    for norm in far.normalized[-1]:
+    for norm in normalized(sym4, [0, 0, 0, 0], 10**48):
         assert abs(norm - 1.0) < 0.01
 
 
 def test_gdof_limit_point_to_point():
-    result = tp.gdof_limit_check(single("1"), [0], [10**9])
-    assert abs(result.normalized[-1][0] - 1.0) < 1e-6
-
-
-def test_gdof_limit_requires_increasing(sym4):
-    with pytest.raises(ValueError):
-        tp.gdof_limit_check(sym4, [0, 0, 0, 0], [1000, 100])
+    assert abs(normalized(single("1"), [0], 10**9)[0] - 1.0) < 1e-6
 
 
 def test_normalized_rates_approach_limit(mix3):
-    result = tp.gdof_limit_check(
-        mix3, ["-1.2", "-0.4", "-0.7"], [10**2, 10**3, 10**4, 10**5, 10**6])
-    targets = [float(x) for x in result.achieved]
-    for k, target in enumerate(targets):
-        gaps = [abs(row[k] - target) for row in result.normalized]
+    r = ["-1.2", "-0.4", "-0.7"]
+    rows = [normalized(mix3, r, P) for P in (10**2, 10**3, 10**4, 10**5, 10**6)]
+    for k, target in enumerate(tp.achieved_gdof(mix3, r)):
+        gaps = [abs(row[k] - target) for row in rows]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))
 
 

@@ -1,12 +1,21 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
 import tinpower as tp
+from tinpower.region import enumerate_cycles
 
-from fixtures import grid_value, pareto_target, random_compound, random_tin_optimal, single
+from fixtures import (
+    grid_value,
+    in_full_region,
+    pareto_target,
+    random_compound,
+    random_tin_optimal,
+    single,
+)
 from oracles import (
     grid_member_polyhedral,
     sum_gdof_by_vertices,
@@ -16,23 +25,23 @@ from oracles import (
 
 
 def test_enumerate_cycles_three_users():
-    assert set(tp.enumerate_cycles(3)) == {
+    assert set(enumerate_cycles(3)) == {
         (0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 2, 1)}
 
 
 def test_enumerate_cycles_two_users():
-    assert tp.enumerate_cycles(2) == [(0, 1)]
+    assert enumerate_cycles(2) == [(0, 1)]
 
 
 def test_enumerate_cycles_count_four_users():
-    cycles = tp.enumerate_cycles(4)
+    cycles = enumerate_cycles(4)
     assert len(cycles) == 20
     assert len(set(cycles)) == 20
 
 
 def test_enumerate_cycles_guard():
     with pytest.raises(tp.GuardExceededError, match=r"K <= 10 \(got 11\)"):
-        tp.enumerate_cycles(11)
+        enumerate_cycles(11)
 
 
 def test_region_constraints_asym3(asym3):
@@ -84,12 +93,14 @@ def test_member_export_lines(asym3):
 
 def test_member_star_deactivation():
     ch = tp.CompoundChannel.from_lists([[["1", "0.6"]], [["0.6", "1"]]])
-    assert tp.member_star(ch, [1, 0])
+    assert in_full_region(ch, [1, 0])
     assert not tp.member(ch, [1, 0])[0]  # with user 2 active the pair bound bites
-    assert tp.member_star(ch, [0, 0])
+    assert in_full_region(ch, [0, 0])
 
 
 def test_member_star_equals_union_over_subsets():
+    # switching off every zero-target user, as solve_power does, decides the
+    # union over all shutdown sets
     rng = random.Random(32)
     for _ in range(40):
         ch = random_compound(rng, K=rng.randint(1, 3))
@@ -109,14 +120,14 @@ def test_member_star_equals_union_over_subsets():
                     break
             if expected:
                 break
-        assert tp.member_star(ch, d) == expected
+        assert in_full_region(ch, d) == expected
 
 
 def test_member_star_matches_member_when_tin_optimal(sym4):
     rng = random.Random(33)
     for _ in range(30):
         d = [grid_value(rng, F(2)) for _ in range(4)]
-        assert tp.member_star(sym4, d) == tp.member(sym4, d)[0]
+        assert in_full_region(sym4, d) == tp.member(sym4, d)[0]
 
 
 def test_member_star_downward_closed():
@@ -124,10 +135,10 @@ def test_member_star_downward_closed():
     for _ in range(30):
         ch = random_compound(rng, K=rng.randint(1, 3))
         d = [grid_value(rng, F(1)) for _ in range(ch.K)]
-        if not tp.member_star(ch, d):
+        if not in_full_region(ch, d):
             continue
         smaller = [x / 2 if rng.random() < 0.5 else x for x in d]
-        assert tp.member_star(ch, smaller)
+        assert in_full_region(ch, smaller)
 
 
 def test_strong_interference_empties_the_region():
@@ -137,12 +148,13 @@ def test_strong_interference_empties_the_region():
     cons = tp.region_constraints(ch)
     assert min(c.rhs for c in cons.constraints) == F(-2)
     assert not tp.member(ch, [0, 0])[0]
-    assert not tp.shortest_paths(tp.build_reduced(ch, [0, 0])).feasible
+    assert not tp.shortest_paths(
+        tp.build_full(tp.regular_counterpart(ch), [0, 0])).feasible
     with pytest.raises(tp.EmptyRegionError):
         tp.sum_gdof(ch)
     with pytest.raises(tp.EmptyRegionError):
         tp.symmetric_gdof(ch)
-    assert tp.member_star(ch, [1, 0])  # one user alone still works
+    assert in_full_region(ch, [1, 0])  # one user alone still works
 
 
 def test_pareto_examples(asym3):
@@ -202,6 +214,19 @@ def test_symmetric_gdof_is_tight(asym3):
     assert not tp.member(asym3, [s + F(1, 100)] * 3)[0]
 
 
+def test_symmetric_gdof_checks_its_last_bound(asym3, monkeypatch):
+    # (1, 1, 1) at user 3's direct strength is decided "yes" at once, so
+    # user 3's bound, which set t = 1, must be tight there; a looser one is
+    # refused
+    import tinpower.region as region
+
+    real = region.cycle_bound
+    monkeypatch.setattr(region, "cycle_bound", lambda a, cycle: replace(
+        real(a, cycle), rhs=real(a, cycle).rhs + 1))
+    with pytest.raises(tp.CertificateError, match="is not tight at 1"):
+        tp.symmetric_gdof(asym3)
+
+
 def test_region_downward_closed_random():
     rng = random.Random(36)
     for _ in range(40):
@@ -220,7 +245,7 @@ def test_membership_matches_graph_feasibility_random():
         ch = random_compound(rng)
         d = [grid_value(rng, F(2)) for _ in range(ch.K)]
         ok, _ = tp.member(ch, d, tp.region_constraints(ch))
-        sp = tp.shortest_paths(tp.build_reduced(ch, d))
+        sp = tp.shortest_paths(tp.build_full(tp.regular_counterpart(ch), d))
         assert ok == sp.feasible
 
 
