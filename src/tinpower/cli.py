@@ -5,7 +5,7 @@ report (human text by default, machine JSON with --json; the two carry the
 same numbers). Exit codes: 0 success, 1 negative verdict on a yes/no query,
 2 input or parse problems, 3 a verdict whose certificate failed its check
 (a ``CertificateError``, raised where the library builds it), 141 stdout
-closed before the report was written.
+or stderr closed before the report or the error line was written.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def cmd_feasible(args) -> int:
 def cmd_region(args) -> int:
     cf = load_channel_file(args.channel)
     cons = region_constraints(cf.channel)
-    lines = [c.export_line(cons.K) for c in cons.constraints]
+    lines = cons.export_lines()
     data = {
         "command": "region",
         "channel": cf.name,
@@ -518,16 +518,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code = _run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader left; point stdout at devnull so that the interpreter's
-        # final flush of what is still buffered does not raise again
+        # the reader of stdout or stderr left; point both at devnull so that
+        # the interpreter's final flush of what is still buffered does not
+        # raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
         return EXIT_CLOSED
+
+
+def _run(args) -> int:
+    """The command's exit code; an expected failure is reported on stderr."""
+    try:
+        return args.handler(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

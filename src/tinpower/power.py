@@ -60,11 +60,15 @@ def _achieved(channel, r) -> tuple[Fraction, ...]:
     """:func:`achieved_gdof` of a validated channel and coerced exponents.
     User k's TIN rate expression in each of its states is computed as ints
     on the lcm lattice ``scale`` of receiver k's states and ``r``
-    (:func:`lcm_scaled`): its signal level minus the strongest interference
-    level, taken as at least the noise level 0."""
+    (:func:`lcm_scaled`, with ``r``'s own lattice found once): its signal
+    level minus the strongest interference level, taken as at least the
+    noise level 0."""
+    r_scale, (r_ints,) = lcm_scaled(r)
     out = []
     for k, states in enumerate(channel.receivers):
-        scale, (x, *rows) = lcm_scaled(r, *states)
+        scale, rows = lcm_scaled(*states, scale=r_scale)
+        up = scale // r_scale
+        x = [y * up for y in r_ints]
         worst = min(row[k] + x[k] - _interference(row, x, k) for row in rows)
         out.append(Fraction(max(worst, 0), scale))
     return tuple(out)

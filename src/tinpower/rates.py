@@ -35,12 +35,16 @@ def _log2_sum_exp2(exponents: Sequence[float]) -> float:
 def _levels(channel, r):
     """Per receiver k and state, the levels ``vec[j] + r[j]`` as floats, and
     ``r`` as floats; None when one leaves the float range. Each level is its
-    int on receiver k's lcm lattice (:func:`lcm_scaled`) over the lattice
-    scale, which rounds the same rational as ``float`` of the Fraction."""
+    int on receiver k's lcm lattice (:func:`lcm_scaled`, with ``r``'s own
+    lattice found once) over the lattice scale, which rounds the same
+    rational as ``float`` of the Fraction."""
+    r_scale, (r_ints,) = lcm_scaled(r)
     try:
         levels = []
         for states in channel.receivers:
-            scale, (x, *rows) = lcm_scaled(r, *states)
+            scale, rows = lcm_scaled(*states, scale=r_scale)
+            up = scale // r_scale
+            x = [y * up for y in r_ints]
             levels.append([[(g + y) / scale for g, y in zip(row, x)] for row in rows])
         return levels, [float(y) for y in r]
     except OverflowError:

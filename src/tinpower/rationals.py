@@ -99,14 +99,15 @@ def power_exponents(values, K: int | None = None) -> tuple[Fraction, ...]:
     return r
 
 
-def lcm_scaled(*groups) -> tuple[int, list[list[int]]]:
-    """The lcm ``scale`` of the denominators of every rational in ``groups``,
-    and each group as the ints ``x * scale``. Adding and comparing these
-    ints is exact integer arithmetic on the rationals' common lattice; a
-    result ``n`` reads back as ``Fraction(n, scale)``."""
+def lcm_scaled(*groups, scale: int = 1) -> tuple[int, list[list[int]]]:
+    """The lcm ``scale`` of the denominators of every rational in ``groups``
+    (and of the given ``scale``, a lattice already in use), and each group
+    as the ints ``x * scale``. Adding and comparing these ints is exact
+    integer arithmetic on the rationals' common lattice; a result ``n``
+    reads back as ``Fraction(n, scale)``."""
     groups = [list(g) for g in groups]
     denominators = {x.denominator for g in groups for x in g}
-    scale = lcm(*denominators)
+    scale = lcm(scale, *denominators)
     factor = {q: scale // q for q in denominators}
     return scale, [[x.numerator * factor[x.denominator] for x in g] for g in groups]
 

@@ -6,15 +6,17 @@ the regular counterpart. Every yes/no question is decided by :func:`decide`
 on its potential graph, whose circuits are exactly these bounds (Geng,
 Naderializadeh, Avestimehr and Jafar, IEEE T-IT 2015). The symmetric
 optimum is a short sequence of these decisions; the sum optimum solves one
-LP over the graph's potentials. The enumerated list serves only the export.
-Everything here is exact rational arithmetic.
+LP over the graph's potentials. The enumerated list serves only the export:
+one depth-first search per smallest user carries each sequence's bound as an
+int prefix sum on the counterpart's lcm lattice, and only the bounds kept
+after merging coinciding ones become rationals. Every result is an exact
+rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .channel import (
     CompoundChannel,
@@ -25,7 +27,7 @@ from .channel import (
 )
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
 from .potential import U, PotentialGraph, ShortestPathResult, _build_full, shortest_paths
-from .rationals import gdof_tuple, render_rational
+from .rationals import gdof_tuple, lcm_scaled, render_rational
 
 # Cyclic-sequence counts grow super-exponentially; beyond this only the graph
 # route (membership, Pareto, the optima) answers.
@@ -62,10 +64,13 @@ class Constraint:
                           self.cycle and tuple(users[i] for i in self.cycle))
 
     def export_line(self, K: int) -> str:
-        members = set(self.users)
-        terms = " + ".join(
-            f"{'1' if i in members else '0'}*d{i + 1}" for i in range(K))
-        return f"{terms} <= {render_rational(self.rhs)}"
+        return f"{_terms(self.users, K)} <= {render_rational(self.rhs)}"
+
+
+def _terms(users, K: int) -> str:
+    """The left-hand side ``1*d1 + 0*d2 + ...`` of a bound on ``users``."""
+    members = set(users)
+    return " + ".join(f"{'1' if i in members else '0'}*d{i + 1}" for i in range(K))
 
 
 @dataclass(frozen=True)
@@ -75,24 +80,19 @@ class RegionConstraints:
     K: int
     constraints: tuple[Constraint, ...]
 
+    def export_lines(self) -> list[str]:
+        """Each constraint's :meth:`Constraint.export_line`; the terms of a
+        user set are rendered once, however many bounds share it."""
+        terms: dict[tuple[int, ...], str] = {}
+        lines = []
+        for c in self.constraints:
+            if c.users not in terms:
+                terms[c.users] = _terms(c.users, self.K)
+            lines.append(f"{terms[c.users]} <= {render_rational(c.rhs)}")
+        return lines
+
     def export(self) -> str:
-        return "\n".join(c.export_line(self.K) for c in self.constraints)
-
-
-def enumerate_cycles(K: int) -> list[tuple[int, ...]]:
-    """All cyclic orders of every subset of >= 2 users, one canonical rotation
-    each (starting at the subset's smallest member). 0-based indices."""
-    if K < 1:
-        raise ValueError("K must be positive")
-    if K > CYCLE_GUARD_K:
-        raise GuardExceededError(
-            f"cycle enumeration guarded at K <= {CYCLE_GUARD_K} (got {K})")
-    out: list[tuple[int, ...]] = []
-    for m in range(2, K + 1):
-        for subset in combinations(range(K), m):
-            for perm in permutations(subset[1:]):
-                out.append((subset[0],) + perm)
-    return out
+        return "\n".join(self.export_lines())
 
 
 def cycle_bound(a, cycle) -> Constraint:
@@ -107,21 +107,50 @@ def cycle_bound(a, cycle) -> Constraint:
     return Constraint(tuple(sorted(cycle)), rhs, cycle=tuple(cycle))
 
 
+def _cycle_bounds(a) -> tuple[Constraint, ...]:
+    """Every per-user and cyclic-sequence bound of the counterpart matrix
+    ``a``, exactly coinciding ones merged, in the order of
+    :class:`RegionConstraints`.
+
+    Sequences are canonical rotations, starting at their smallest user. One
+    depth-first search per start ``s`` extends each sequence by a larger user
+    not yet on it, in increasing order, carrying the gains ``a_ii - a_ij``
+    along it as an int prefix sum on the lcm lattice of ``a``
+    (:func:`lcm_scaled`); the gain back to ``s`` closes it. Within one user
+    set the search meets the sequences in lexicographic order, and the first
+    sequence met with a given (user set, rhs) is the one kept.
+    """
+    K = len(a)
+    if K > CYCLE_GUARD_K:
+        raise GuardExceededError(
+            f"cycle enumeration guarded at K <= {CYCLE_GUARD_K} (got {K})")
+    scale, rows = lcm_scaled(*a)
+    gain = [[row[i] - x for x in row] for i, row in enumerate(rows)]
+    first = {(1 << i, rows[i][i]): (i,) for i in range(K)}
+
+    def extend(cycle, mask, rest, prefix, back):
+        row = gain[cycle[-1]]
+        for n, j in enumerate(rest):
+            longer, users, through = cycle + (j,), mask | 1 << j, prefix + row[j]
+            first.setdefault((users, through + back[j]), longer)
+            if len(rest) > 1:
+                extend(longer, users, rest[:n] + rest[n + 1:], through, back)
+
+    for s in range(K):
+        extend((s,), 1 << s, tuple(range(s + 1, K)), 0, [g[s] for g in gain])
+    kept = sorted((len(cycle), tuple(sorted(cycle)), rhs, cycle)
+                  for (_, rhs), cycle in first.items())
+    return tuple(Constraint(users, Fraction(rhs, scale), cycle if m > 1 else None)
+                 for m, users, rhs, cycle in kept)
+
+
 def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     """Inequality description of the region with every user active.
 
     One upper bound per user plus one bound per cyclic sequence, evaluated on
     the regular counterpart. Exactly coinciding inequalities are merged.
     """
-    a = regular_counterpart(channel).matrix
-    K = channel.K
-    raw = [cycle_bound(a, (i,)) for i in range(K)]
-    raw += [cycle_bound(a, cyc) for cyc in enumerate_cycles(K)]
-    unique: dict[tuple[tuple[int, ...], Fraction], Constraint] = {}
-    for c in raw:
-        unique.setdefault((c.users, c.rhs), c)
-    return RegionConstraints(K, tuple(sorted(
-        unique.values(), key=lambda c: (len(c.users), c.users, c.rhs))))
+    return RegionConstraints(channel.K, _cycle_bounds(regular_counterpart(channel).matrix))
 
 
 def circuit_bound(a, circuit) -> Constraint:

@@ -5,6 +5,10 @@ lists, Bellman-Ford): membership is decided by scanning a power grid against
 the rate expressions, and shortest paths by enumerating simple paths. The
 grid scans run on exactly scaled integers, so comparisons are exact.
 
+The inequality list itself has a reference: every cyclic sequence of every
+user subset, enumerated by ``itertools`` and summed on ``Fraction``s, where
+the package runs one depth-first search on ints.
+
 The optimum references scan the enumerated inequality list instead of the
 potential-form LP: the sum optimum over every vertex (active sets of K
 inequalities), the symmetric optimum as the least rhs per user, and a KKT
@@ -31,6 +35,7 @@ from math import lcm
 import numpy as np
 
 import tinpower as tp
+from tinpower.region import Constraint, RegionConstraints, cycle_bound
 
 F = Fraction
 
@@ -205,6 +210,32 @@ def bellman_ford_fractions(graph) -> tp.ShortestPathResult:
             raise tp.CertificateError(f"states of user {k + 1} disagree on distance")
         l_dst.append(values.pop())
     return tp.ShortestPathResult(True, tuple(l_dst), None, None)
+
+
+def enumerate_cycles(K: int) -> list[tuple[int, ...]]:
+    """All cyclic orders of every subset of >= 2 users, one canonical rotation
+    each (starting at the subset's smallest member). 0-based indices."""
+    out: list[tuple[int, ...]] = []
+    for m in range(2, K + 1):
+        for subset in combinations(range(K), m):
+            for perm in permutations(subset[1:]):
+                out.append((subset[0],) + perm)
+    return out
+
+
+def region_constraints_fractions(channel) -> RegionConstraints:
+    """:func:`tinpower.region_constraints` with each bound summed on its own:
+    the per-user bounds, then one :func:`cycle_bound` per enumerated cycle,
+    merged on (users, rhs) with the first bound of each kept."""
+    a = tp.regular_counterpart(channel).matrix
+    K = channel.K
+    raw = [cycle_bound(a, (i,)) for i in range(K)]
+    raw += [cycle_bound(a, cyc) for cyc in enumerate_cycles(K)]
+    unique: dict[tuple[tuple[int, ...], Fraction], Constraint] = {}
+    for c in raw:
+        unique.setdefault((c.users, c.rhs), c)
+    return RegionConstraints(K, tuple(sorted(
+        unique.values(), key=lambda c: (len(c.users), c.users, c.rhs))))
 
 
 def state_rate(vec, r, k) -> Fraction:

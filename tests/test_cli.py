@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -175,6 +176,37 @@ def test_region_json_matches_text_numbers(capsys):
     assert doc["symmetric_gdof"] == "1"
     rhs = sorted(c["rhs"] for c in doc["constraints"])
     assert rhs == sorted(["2", "2", "1", "2", "2.2", "2.2", "3.2"])
+
+
+# sha256 of the region reports that summing each enumerated cycle on
+# Fractions printed; the int depth-first enumeration must print the same bytes
+REGION_DIGESTS = {
+    ("asym3.json", False): "fb0ddf3ff2c22ffd3cc1be1d9cb094624f44b439f83a313a6c8c854e1077880a",
+    ("asym3.json", True): "ed6f1352610a860c52fee1b14ad7c9bcca52a6768009bce1d0031cccf89f301d",
+    ("comp2.json", False): "4737724ae36fe732945644240775089f9e7f450c14469c990b3926005025eaa0",
+    ("comp2.json", True): "d074a6578747c66cd697e86055114e835041d408158a8cf03458b10e7ef627ae",
+    ("mix3.json", False): "0979a01a1d2552dc4ec92914b141475f63a55b057d28e699d0b6ee28d40df7f5",
+    ("mix3.json", True): "840e2ec3d153d8a07ce5eb0b44935a915bfa91d67456855a4bdcd0cea252f601",
+    ("sym4.json", False): "250c996cd96be6732b1795724d4be16d087e6b11dd20d788a6994dd8d0af5f2b",
+    ("sym4.json", True): "cdcde3f5241e1546a43c455305820e77017aa2b1dadc18e877378c52f7d3c17e",
+}
+
+
+def test_region_reports_keep_their_bytes(capsys):
+    for (name, as_json), digest in REGION_DIGESTS.items():
+        argv = ["region", "--channel", str(CHANNELS / name)] + ["--json"] * as_json
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, as_json)
+
+
+def test_region_guard_exits_2(tmp_path, capsys):
+    receivers = [{"states": [["1" if j == k else "0.1" for j in range(11)]]}
+                 for k in range(11)]
+    path = write(tmp_path, "k11.json", {"K": 11, "receivers": receivers})
+    code, out, err = run(capsys, "region", "--channel", path)
+    assert (code, out) == (2, "")
+    assert err == "error: cycle enumeration guarded at K <= 10 (got 11)\n"
 
 
 def test_region_empty(tmp_path, capsys):
@@ -478,10 +510,10 @@ def test_power_infeasible_circuit_is_one_of_the_full_graph_seeded(tmp_path, caps
 def test_yes_no_commands_never_enumerate(capsys, monkeypatch):
     import tinpower.region as region
 
-    def refuse(K):
+    def refuse(a):
         raise AssertionError("cycle enumeration reached")
 
-    monkeypatch.setattr(region, "enumerate_cycles", refuse)
+    monkeypatch.setattr(region, "_cycle_bounds", refuse)
     for name, inside, outside, frontier in [
             ("mix3.json", "0.5,0.6,0.7", "2,1,1.5", "1.7,0.4,0.4"),
             ("sym4.json", "0.5,0.5,0.5,0.5", "2,2,0,0", "1,1,1,1")]:
@@ -715,15 +747,18 @@ def test_each_entry_point_validates_once(capsys, monkeypatch, argv, count):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [
-    ["region", "--channel", str(CHANNELS / "mix3.json"), "--json"],
-    ["feasible", "--channel", str(CHANNELS / "asym3.json"), "--target", "2,2,0"],
-    ["rates", "--channel", str(CHANNELS / "sym4.json"), "--alg", "sp", "--P", "10,100"],
-], ids=["region", "feasible-no", "rates"])
-def test_closed_stdout_exits_141_quietly(argv, buffered):
-    # a reader that leaves early (`| head -c 10`) closes the pipe before the
-    # report is written: no traceback, and no exit code that reads as a
-    # verdict, whether the write fails at once or at the final flush
+@pytest.mark.parametrize("argv, closed", [
+    (["region", "--channel", str(CHANNELS / "mix3.json"), "--json"], "stdout"),
+    (["feasible", "--channel", str(CHANNELS / "asym3.json"), "--target", "2,2,0"], "stdout"),
+    (["rates", "--channel", str(CHANNELS / "sym4.json"), "--alg", "sp", "--P", "10,100"],
+     "stdout"),
+    (["validate", "--channel", str(ROOT / "no" / "such.json")], "both"),
+], ids=["region", "feasible-no", "rates", "missing-file"])
+def test_closed_stdout_exits_141_quietly(argv, closed, buffered):
+    # a reader that leaves early (`| head -c 10`, or `2>&1 | head -c 0` for
+    # an error line) closes the pipe before the report is written: no
+    # traceback, and no exit code that reads as a verdict, whether the write
+    # fails at once or at the final flush
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -732,8 +767,8 @@ def test_closed_stdout_exits_141_quietly(argv, buffered):
         env["PYTHONUNBUFFERED"] = "1"
     try:
         proc = subprocess.run([sys.executable, "-m", "tinpower.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env,
-                              timeout=120)
+                              stdout=write_end, env=env, timeout=120,
+                              stderr=write_end if closed == "both" else subprocess.PIPE)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    assert (proc.returncode, proc.stderr or b"") == (141, b"")

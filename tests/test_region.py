@@ -6,18 +6,20 @@ from itertools import combinations
 import pytest
 
 import tinpower as tp
-from tinpower.region import enumerate_cycles
 
 from fixtures import (
     grid_value,
     in_full_region,
     pareto_target,
+    prime_denominator_channel,
     random_compound,
     random_tin_optimal,
     single,
 )
 from oracles import (
+    enumerate_cycles,
     grid_member_polyhedral,
+    region_constraints_fractions,
     sum_gdof_by_vertices,
     sum_optimal,
     symmetric_gdof_by_bounds,
@@ -40,8 +42,41 @@ def test_enumerate_cycles_count_four_users():
 
 
 def test_enumerate_cycles_guard():
+    ch = random_tin_optimal(random.Random(46), K=11, max_states=1)
     with pytest.raises(tp.GuardExceededError, match=r"K <= 10 \(got 11\)"):
-        enumerate_cycles(11)
+        tp.region_constraints(ch)
+
+
+def _grid_channel(rng, K, states, cross_max, step):
+    """Direct strengths in [1, 2] and cross strengths in [0, cross_max] on a
+    grid of ``step``; each receiver has ``states`` draws (duplicates merge)."""
+    return tp.CompoundChannel.from_lists([
+        [[grid_value(rng, F(2), step, lo=F(1)) if j == k else grid_value(rng, cross_max, step)
+          for j in range(K)] for _ in range(states)]
+        for k in range(K)])
+
+
+def test_region_constraints_match_fraction_enumeration_seeded():
+    # the depth-first search on ints keeps the bounds that summing every
+    # enumerated cycle on Fractions keeps: same users, rhs, cycle and order.
+    # Coarse grids repeat strengths, so many cycles of one user set tie on
+    # rhs and the first of them in permutation order must be the one kept.
+    rng = random.Random(47)
+    channels = [_grid_channel(rng, K, states, F(cross_max), F(step))
+                for K in range(1, 8) for states in (1, 2, 3)
+                for cross_max in ("0.5", "1") for step in ("0.5", "0.25", "0.1", "0.01")]
+    channels += [_grid_channel(rng, 8, states, F(cross_max), F("0.5"))
+                 for states, cross_max in ((1, "0.5"), (2, "1"))]
+    channels.append(_grid_channel(rng, 9, 2, F(1), F("0.01")))
+    channels += [prime_denominator_channel(rng, K) for K in (3, 6)]
+    tied = 0
+    for ch in channels:
+        got, want = tp.region_constraints(ch), region_constraints_fractions(ch)
+        assert got.K == want.K == ch.K
+        assert [(c.users, c.rhs, c.cycle) for c in got.constraints] == [
+            (c.users, c.rhs, c.cycle) for c in want.constraints]
+        tied += len(got.constraints) < ch.K + len(enumerate_cycles(ch.K))
+    assert len(channels) >= 150 and tied >= 80
 
 
 def test_region_constraints_asym3(asym3):
@@ -315,10 +350,10 @@ def test_optima_certified_at_five_to_seven_users():
 def test_optima_never_enumerate(monkeypatch):
     import tinpower.region as region
 
-    def refuse(K):
+    def refuse(a):
         raise AssertionError("cycle enumeration reached")
 
-    monkeypatch.setattr(region, "enumerate_cycles", refuse)
+    monkeypatch.setattr(region, "_cycle_bounds", refuse)
     rng = random.Random(45)
     for K in (5, 12):
         ch = random_tin_optimal(rng, K=K, max_states=2)
