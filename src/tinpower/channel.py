@@ -24,28 +24,41 @@ class CompoundChannel:
     """K-user channel where each receiver has a finite set of possible states.
 
     ``receivers[k][l][i]`` is the strength level of the link from transmitter
-    ``i`` to receiver ``k`` in state ``l`` (all indices 0-based).
+    ``i`` to receiver ``k`` in state ``l`` (all indices 0-based). Building one
+    checks it (:func:`validate`), so every channel a function is given has
+    passed that check once.
     """
 
     K: int
     receivers: tuple[StateSet, ...]
 
+    def __post_init__(self) -> None:
+        validate(self)
+
     @classmethod
-    def from_lists(cls, receivers, K: int | None = None) -> "CompoundChannel":
-        """Build a channel from nested lists of decimals/numbers.
+    def _unchecked(cls, K, receivers) -> "CompoundChannel":
+        """A channel built without the check, so that a file's errors can be
+        reported rather than raised (``load_channel_file(...,
+        validate_channel=False)``, the ``validate`` command)."""
+        channel = object.__new__(cls)
+        object.__setattr__(channel, "K", K)
+        object.__setattr__(channel, "receivers", receivers)
+        return channel
+
+    @classmethod
+    def from_lists(cls, receivers) -> "CompoundChannel":
+        """Build a channel from nested lists of decimals/numbers, one list of
+        states per receiver; K is the number of receivers.
 
         Exact duplicate states within a receiver are dropped (they are
-        mathematically inert and only inflate graph sizes); the result is
-        validated before being returned. Each distinct literal is parsed once
-        (:func:`rational_parser`).
+        mathematically inert and only inflate graph sizes). Each distinct
+        literal is parsed once (:func:`rational_parser`).
         """
         parse = rational_parser()
         parsed = tuple(
             _distinct(tuple(map(parse, state)) for state in states)
             for states in receivers)
-        channel = cls(len(parsed) if K is None else K, parsed)
-        validate(channel)
-        return channel
+        return cls(len(parsed), parsed)
 
     @property
     def state_counts(self) -> tuple[int, ...]:
@@ -70,7 +83,7 @@ class RegularChannel:
 
     @classmethod
     def from_matrix(cls, matrix) -> "RegularChannel":
-        # one state per receiver by construction; from_lists validates
+        # one state per receiver by construction
         return cls(CompoundChannel.from_lists([[row] for row in matrix]))
 
     @property
@@ -148,7 +161,6 @@ def tin_optimal(channel: CompoundChannel) -> tuple[bool, TinViolation | None]:
     Returns ``(True, None)`` or ``(False, witness)`` with one violating
     combination.
     """
-    validate(channel)
     K = channel.K
     if K == 1:
         return True, None
@@ -178,16 +190,10 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
     Each direct link takes the user's weakest direct strength over its states;
     each cross link preserves the pair's minimum power-level gain (direct
     minus cross). The two minima may come from different states, so the result
-    is generally none of the original network realizations.
-    """
-    validate(channel)
-    return _counterpart(channel)
-
-
-def _counterpart(channel) -> RegularChannel:
-    """:func:`regular_counterpart` of a validated channel. Row k reads only
+    is generally none of the original network realizations. Row k reads only
     receiver k's states, so it is computed on their own lcm lattice
-    (:func:`lcm_scaled`)."""
+    (:func:`lcm_scaled`).
+    """
     rows = []
     for k, states in enumerate(channel.receivers):
         scale, vecs = lcm_scaled(*states)
@@ -245,12 +251,6 @@ def subnetwork(channel: CompoundChannel, keep: Sequence[int]) -> CompoundChannel
 
     States that coincide after projection are merged.
     """
-    validate(channel)
-    return _subnetwork(channel, keep)
-
-
-def _subnetwork(channel, keep) -> CompoundChannel:
-    """:func:`subnetwork` of a validated channel."""
     kept = sorted(set(keep))
     if not kept:
         raise ValueError("subnetwork needs at least one user")

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .channel import (
     CompoundChannel,
     TinViolation,
-    _counterpart,
     _distinct,
     regular_counterpart,
     tin_optimal,
@@ -34,7 +33,7 @@ from .errors import (
     InfeasibleTargetError,
     NonConvergenceError,
 )
-from .potential import _build_full, vertex_label
+from .potential import build_full, vertex_label
 from .power import (
     ALGORITHMS,
     GgpcTrace,
@@ -79,7 +78,9 @@ class ChannelFile:
     targets: list[tuple[Fraction, ...]]
 
 
-def _parse_channel_doc(doc) -> CompoundChannel:
+def _parse_channel_doc(doc) -> tuple[int, tuple]:
+    """The channel fields of a parsed document: K and the receivers' state
+    sets, duplicates dropped."""
     if not isinstance(doc, dict):
         raise CliInputError("channel document must be a JSON object")
     for key in ("K", "receivers"):
@@ -105,7 +106,7 @@ def _parse_channel_doc(doc) -> CompoundChannel:
             except (ValueError, TypeError) as exc:
                 raise CliInputError(f"receiver {idx + 1}: {exc}") from None
         receivers.append(_distinct(states))
-    return CompoundChannel(doc["K"], tuple(receivers))
+    return doc["K"], tuple(receivers)
 
 
 def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFile:
@@ -119,12 +120,11 @@ def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFil
                     f"column {exc.colno}: {exc.msg}") from None
     except OSError as exc:
         raise CliInputError(f"{path}: {exc}") from None
-    channel = _parse_channel_doc(doc)
-    if validate_channel:
-        try:
-            validate(channel)
-        except ChannelValidationError as exc:
-            raise CliInputError(f"{path}: invalid channel: {exc}") from None
+    build = CompoundChannel if validate_channel else CompoundChannel._unchecked
+    try:
+        channel = build(*_parse_channel_doc(doc))
+    except ChannelValidationError as exc:
+        raise CliInputError(f"{path}: invalid channel: {exc}") from None
     raw_targets = doc.get("targets", [])
     if not isinstance(raw_targets, list):
         raise CliInputError(f'{path}: "targets" must be an array')
@@ -184,12 +184,12 @@ def _cycle_data(cycle, length) -> dict:
 
 
 def _dump_graphs(channel, d) -> None:
-    """The reduced and full graphs at the parsed target ``d``; the channel
-    was validated at load, so the unvalidated cores serve."""
+    """The reduced and full graphs at the parsed target ``d``: those of the
+    channel's regular counterpart and of the channel itself."""
     print("# reduced potential graph", file=sys.stderr)
-    print(_build_full(_counterpart(channel), d).dump(), file=sys.stderr)
+    print(build_full(regular_counterpart(channel), d).dump(), file=sys.stderr)
     print("# full potential graph", file=sys.stderr)
-    print(_build_full(channel, d).dump(), file=sys.stderr)
+    print(build_full(channel, d).dump(), file=sys.stderr)
 
 
 def cmd_validate(args) -> int:

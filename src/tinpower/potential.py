@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .channel import validate
 from .errors import CertificateError
 from .rationals import gdof_tuple, lcm_scaled, render_rational
 
@@ -61,15 +60,10 @@ def build_full(channel, d) -> PotentialGraph:
     """Graph over every (user, state) pair. Cost grows with state counts, so
     production paths build it on the regular counterpart (one state per
     user): the reduced graph, whose feasibility and shortest-path lengths
-    from ``u`` agree exactly with the full graph's."""
-    validate(channel)
-    return _build_full(channel, gdof_tuple(d, channel.K))
-
-
-def _build_full(channel, target) -> PotentialGraph:
-    """:func:`build_full` of a validated channel and a coerced target. User
-    k's edge lengths read only receiver k's states and ``target[k]``, so
-    they are computed on their own lcm lattice (:func:`lcm_scaled`)."""
+    from ``u`` agree exactly with the full graph's. User k's edge lengths
+    read only receiver k's states and ``d[k]``, so they are computed on
+    their own lcm lattice (:func:`lcm_scaled`)."""
+    target = gdof_tuple(d, channel.K)
     K, receivers = channel.K, channel.receivers
     vertices: list[Vertex] = [
         (k, l) for k in range(K) for l in range(len(receivers[k]))]

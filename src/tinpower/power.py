@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import _subnetwork, is_regular, validate
+from .channel import is_regular, subnetwork
 from .errors import (
     CertificateError,
     GuardExceededError,
@@ -38,7 +38,7 @@ from .rationals import (
     power_exponents,
     render_rational,
 )
-from .region import _decide
+from .region import decide
 
 ZERO = Fraction(0)
 
@@ -56,14 +56,14 @@ def _interference(row, x, k) -> int:
     return max(levels)
 
 
-def _achieved(channel, r) -> tuple[Fraction, ...]:
-    """:func:`achieved_gdof` of a validated channel and coerced exponents.
+def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
+    """Per-user GDoF when all interference is treated as noise, worst state.
     User k's TIN rate expression in each of its states is computed as ints
     on the lcm lattice ``scale`` of receiver k's states and ``r``
     (:func:`lcm_scaled`, with ``r``'s own lattice found once): its signal
     level minus the strongest interference level, taken as at least the
     noise level 0."""
-    r_scale, (r_ints,) = lcm_scaled(r)
+    r_scale, (r_ints,) = lcm_scaled(power_exponents(r, channel.K))
     out = []
     for k, states in enumerate(channel.receivers):
         scale, rows = lcm_scaled(*states, scale=r_scale)
@@ -74,17 +74,11 @@ def _achieved(channel, r) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
-    """Per-user GDoF when all interference is treated as noise, worst state."""
-    validate(channel)
-    return _achieved(channel, power_exponents(r, channel.K))
-
-
 def certify_allocation(channel, r, d) -> tuple[Fraction, ...]:
-    """The per-state :func:`achieved_gdof` of allocation ``r`` on a channel
-    the caller has validated, a "yes" certificate: a miss of the coerced
-    target ``d`` raises CertificateError."""
-    achieved = _achieved(channel, power_exponents(r, channel.K))
+    """The per-state :func:`achieved_gdof` of allocation ``r``, a "yes"
+    certificate: a miss of the coerced target ``d`` raises
+    CertificateError."""
+    achieved = achieved_gdof(channel, r)
     if any(a < t for a, t in zip(achieved, d, strict=True)):
         raise CertificateError("the allocation does not achieve the target")
     return achieved
@@ -198,7 +192,6 @@ def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
     arrays, so it is both fast and free of rounding. Intended for small K and
     coarse grids; guarded on grid size and scale.
     """
-    validate(channel)
     r = power_exponents(r, channel.K)
     d = gdof_tuple(d, channel.K)
     step = parse_rational(grid_step)
@@ -295,16 +288,15 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    validate(channel)
     d = gdof_tuple(d, channel.K)
     active = [i for i, x in enumerate(d) if x > 0]
     silent = tuple(i for i, x in enumerate(d) if x == 0)
     if not active:
         return PowerSolution(algorithm, (None,) * channel.K, silent, False, None,
                              (ZERO,) * channel.K)
-    sub = _subnetwork(channel, active) if silent else channel
+    sub = subnetwork(channel, active) if silent else channel
     d_sub = tuple(d[i] for i in active)
-    verdict = _decide(sub, d_sub)
+    verdict = decide(sub, d_sub)
     if not verdict.sp.feasible:
         raise InfeasibleTargetError(
             f"target ({', '.join(map(render_rational, d))}) is outside the "

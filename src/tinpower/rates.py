@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .channel import validate
 from .rationals import lcm_scaled, power_exponents
 
 _LN2 = math.log(2.0)
@@ -86,7 +85,6 @@ def rates(channel, r, P: float) -> RateReport:
     P is not finite, when a strength level is too large for the rates
     to be finite floats, or when the total transmit power underflows to 0.
     """
-    validate(channel)
     return _report(_levels(channel, power_exponents(r, channel.K)), P)
 
 
@@ -130,7 +128,6 @@ def sweep(channel, allocations, P_list) -> list[tuple[str, RateReport]]:
     sorted by (allocation name, P). Each allocation's levels are computed
     once, for every P.
     """
-    validate(channel)
     rows = []
     named = list(allocations) + [("full_power", (Fraction(0),) * channel.K)]
     for name, r in named:

@@ -18,15 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import (
-    CompoundChannel,
-    RegularChannel,
-    _counterpart,
-    regular_counterpart,
-    validate,
-)
+from .channel import CompoundChannel, RegularChannel, regular_counterpart
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
-from .potential import U, PotentialGraph, ShortestPathResult, _build_full, shortest_paths
+from .potential import U, PotentialGraph, ShortestPathResult, build_full, shortest_paths
 from .rationals import gdof_tuple, lcm_scaled, render_rational
 
 # Cyclic-sequence counts grow super-exponentially; beyond this only the graph
@@ -194,14 +188,9 @@ def decide(channel, d) -> Verdict:
     """Is ``d`` in the region with every user active? The one decision route:
     the counterpart is built once and serves the graph and the bound, which
     ``d`` must strictly violate (else :class:`CertificateError`)."""
-    validate(channel)
-    return _decide(channel, gdof_tuple(d, channel.K))
-
-
-def _decide(channel, d) -> Verdict:
-    """:func:`decide` on a validated channel and a coerced target."""
-    cp = _counterpart(channel)
-    graph = _build_full(cp, d)
+    d = gdof_tuple(d, channel.K)
+    cp = regular_counterpart(channel)
+    graph = build_full(cp, d)
     sp = shortest_paths(graph)
     bound = None if sp.feasible else circuit_bound(cp.matrix, sp.negative_cycle)
     if bound is not None and bound.holds(d):
@@ -349,12 +338,11 @@ def symmetric_gdof(channel) -> Fraction:
     checked by its reduced edges, and the bound that set t must be tight at
     it, so no larger t is in the region (else :class:`CertificateError`).
     A t below 0 means the region is empty."""
-    validate(channel)
-    K, a = channel.K, _counterpart(channel).matrix
+    K, a = channel.K, regular_counterpart(channel).matrix
     k = min(range(K), key=lambda i: a[i][i])
     t, bound = a[k][k], cycle_bound(a, (k,))
     while t >= 0:
-        verdict = _decide(channel, (t,) * K)
+        verdict = decide(channel, (t,) * K)
         if verdict.sp.feasible:
             verdict.reduced_edges()
             if bound.slack((t,) * K) != 0:

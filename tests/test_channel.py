@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from types import ModuleType
 
@@ -17,16 +18,14 @@ def test_validate_minimal_channel():
 
 
 def test_validate_dimension_mismatch():
-    ch = tp.CompoundChannel(2, (((F(1), F(0), F(0)),), ((F(0), F(1)),)))
     with pytest.raises(tp.ChannelValidationError) as err:
-        tp.validate(ch)
+        tp.CompoundChannel(2, (((F(1), F(0), F(0)),), ((F(0), F(1)),)))
     assert err.value.receiver == 0 and err.value.state == 0
 
 
 def test_validate_negative_strength():
-    ch = tp.CompoundChannel(2, (((F("-0.5"), F(0)),), ((F(0), F(1)),)))
     with pytest.raises(tp.ChannelValidationError) as err:
-        tp.validate(ch)
+        tp.CompoundChannel(2, (((F("-0.5"), F(0)),), ((F(0), F(1)),)))
     assert err.value.receiver == 0
     assert "negative" in str(err.value)
 
@@ -37,10 +36,23 @@ def test_validate_rejects_bool_user_count():
 
 
 def test_validate_empty_state_set():
-    ch = tp.CompoundChannel(1, ((),))
     with pytest.raises(tp.ChannelValidationError) as err:
-        tp.validate(ch)
+        tp.CompoundChannel(1, ((),))
     assert err.value.receiver == 0
+
+
+@pytest.mark.parametrize("build, receiver, state, message", [
+    (lambda valid: tp.CompoundChannel(2, valid.receivers[:1] + (
+        ((F(0), F(1)), (F(1, 2), F(-1, 3))),)),
+     1, 1, "receiver 1 state 1 has negative strength -1/3"),
+    (lambda valid: replace(valid, K=3), None, None, "expected 3 receivers, got 2"),
+], ids=["negative-entry", "replaced-K"])
+def test_channels_are_checked_when_built(build, receiver, state, message):
+    valid = tp.CompoundChannel.from_lists([[["1", "0.5"]], [["0.5", "1"]]])
+    with pytest.raises(tp.ChannelValidationError) as err:
+        build(valid)
+    assert (err.value.receiver, err.value.state, str(err.value)) == (
+        receiver, state, message)
 
 
 def test_duplicate_states_dropped_on_load():

@@ -118,7 +118,7 @@ def test_counterpart_values_and_round_trip(tmp_path, capsys):
     assert doc["receivers"][1]["states"] == [["0.5", "1"]]
     # the emitted document re-parses to exactly the counterpart channel
     reparsed = tp.CompoundChannel.from_lists(
-        [rx["states"] for rx in doc["receivers"]], K=doc["K"])
+        [rx["states"] for rx in doc["receivers"]])
     source = tp.CompoundChannel.from_lists(
         [[["1", "0.5"], ["0.8", "0.2"]], [["0.5", "1"]]])
     assert reparsed == tp.regular_counterpart(source).channel
@@ -433,7 +433,7 @@ def test_inconsistent_bellman_ford_exits_3(capsys, monkeypatch):
             (tp.U, (0, 0), F(0)), (tp.U, (0, 1), F(-1)))),
     ]
     for graph, message in zip(graphs, ["is not negative", "user 1 disagree"]):
-        monkeypatch.setattr(region, "_build_full", lambda channel, d: graph)
+        monkeypatch.setattr(region, "build_full", lambda channel, d: graph)
         code, out, err = run(
             capsys, "feasible", "--channel", str(CHANNELS / "asym3.json"),
             "--target", "1,1,1")
@@ -720,14 +720,15 @@ def test_equal_literals_parse_to_equal_entries(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, count", [
     (["power", "--target", "0.4,0.4", "--alg", "sp"], 2),
-    (["power", "--target", "0,0.4", "--alg", "ggpc"], 2),
+    (["power", "--target", "0,0.4", "--alg", "ggpc"], 3),
     (["feasible", "--target", "0.4,0.4"], 2),
-    (["feasible", "--target", "0.4,0.4", "--debug-graph"], 2),
-    (["rates", "--target", "0.4,0.4", "--alg", "sp,ggpc", "--P", "10,100"], 4),
+    (["feasible", "--target", "0.4,0.4", "--debug-graph"], 3),
+    (["rates", "--target", "0.4,0.4", "--alg", "sp,ggpc", "--P", "10,100"], 3),
 ], ids=["power-sp", "power-silent", "feasible", "feasible-debug-graph", "rates"])
 def test_each_entry_point_validates_once(capsys, monkeypatch, argv, count):
-    # the file load and each library entry point validate; internal calls on
-    # a channel already validated go through unvalidated cores
+    # a channel is checked when it is built: the loaded one, and each
+    # counterpart and subnetwork the command makes; no function checks the
+    # channel it is given again
     checked = []
     real = tp.validate
     for name, module in list(sys.modules.items()):
@@ -736,14 +737,46 @@ def test_each_entry_point_validates_once(capsys, monkeypatch, argv, count):
                                 lambda ch: checked.append(ch) or real(ch))
     path = str(CHANNELS / "comp2.json")
     code, _, err = run(capsys, argv[0], "--channel", path, *argv[1:])
+    monkeypatch.undo()
     assert code == 0
     assert len(checked) == count
+    assert len({id(ch) for ch in checked}) == count
+    loaded = load_channel_file(path).channel
+    assert sum(ch == loaded for ch in checked) == 1
     if "--debug-graph" in argv:
-        ch, d = load_channel_file(path).channel, argv[2].split(",")
+        d = argv[2].split(",")
         assert err == (
             f"# reduced potential graph\n"
-            f"{tp.build_full(tp.regular_counterpart(ch), d).dump()}\n"
-            f"# full potential graph\n{tp.build_full(ch, d).dump()}\n")
+            f"{tp.build_full(tp.regular_counterpart(loaded), d).dump()}\n"
+            f"# full potential graph\n{tp.build_full(loaded, d).dump()}\n")
+
+
+def test_unchecked_load_reports_what_the_commands_refuse(tmp_path, capsys):
+    # the benchmark's replay of `validate` loads an invalid file unchecked
+    # and then checks it itself; every other command refuses the file
+    path = write(tmp_path, "bad.json", {
+        "K": 2,
+        "receivers": [{"states": [["1", "0.5"]]},
+                      {"states": [["0.5", "1"], ["0", "-0.25"]]}],
+        "targets": [["0.4", "0.4"]],
+    })
+    channel = load_channel_file(path, validate_channel=False).channel
+    assert channel.state_counts == (1, 2)
+    with pytest.raises(tp.ChannelValidationError) as err:
+        tp.validate(channel)
+    assert (err.value.receiver, err.value.state) == (1, 1)
+    code, out, _ = run(capsys, "validate", "--channel", path, "--json")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert (error["receiver"], error["state"], error["message"]) == (
+        err.value.receiver + 1, err.value.state + 1, str(err.value))
+    flags = {"feasible": ["--target", "0.4,0.4"], "pareto": ["--target", "0.4,0.4"],
+             "power": ["--target", "0.4,0.4", "--alg", "sp"],
+             "rates": ["--alg", "sp", "--P", "10"]}
+    for command in ("tin-check", "counterpart", "feasible", "region", "pareto",
+                    "power", "rates"):
+        assert run(capsys, command, "--channel", path, *flags.get(command, [])) == (
+            2, "", f"error: {path}: invalid channel: {err.value}\n")
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

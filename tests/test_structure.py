@@ -1,0 +1,50 @@
+"""Structural rules of the package, read from its source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tinpower"
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _callers(tree, name) -> list[str]:
+    """The dotted scope (class and function names) of each call of ``name``,
+    called bare or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_channels_are_validated_only_where_built():
+    # every channel is checked by its constructor; `validate` reports on the
+    # one channel the loader builds unchecked for it
+    callers = sorted(f"{module}.{scope}" for module, tree in MODULES.items()
+                     for scope in _callers(tree, "validate"))
+    assert callers == ["channel.CompoundChannel.__post_init__", "cli.cmd_validate"]
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_private_name_crosses_modules(module):
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "tinpower")
+        for alias in node.names if alias.name.startswith("_")}
+    allowed = {("channel", "_distinct")} if module == "cli" else set()
+    assert imported <= allowed
