@@ -76,10 +76,15 @@ class RegularChannel:
     """Single-state channel: a thin view exposing the K x K strength matrix.
 
     It reads as the channel it wraps, so it can be passed wherever a
-    ``CompoundChannel`` is accepted.
+    ``CompoundChannel`` is accepted. Building one checks it has one state
+    per receiver, which :attr:`matrix` and :func:`regular_counterpart` read.
     """
 
     channel: CompoundChannel
+
+    def __post_init__(self) -> None:
+        if not is_regular(self.channel):
+            raise ChannelValidationError("a regular channel has one state per receiver")
 
     @classmethod
     def from_matrix(cls, matrix) -> "RegularChannel":
@@ -192,8 +197,10 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
     minus cross). The two minima may come from different states, so the result
     is generally none of the original network realizations. Row k reads only
     receiver k's states, so it is computed on their own lcm lattice
-    (:func:`lcm_scaled`).
+    (:func:`lcm_scaled`). A :class:`RegularChannel` is returned as it is.
     """
+    if isinstance(channel, RegularChannel):
+        return channel
     rows = []
     for k, states in enumerate(channel.receivers):
         scale, vecs = lcm_scaled(*states)
@@ -204,6 +211,18 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
         least_gain = map(min, zip(*([vec[k] - x for x in vec] for vec in vecs)))
         rows.append(tuple(Fraction(direct - g, scale) for g in least_gain))
     return RegularChannel(CompoundChannel(channel.K, tuple((row,) for row in rows)))
+
+
+def receiver_levels(channel, r):
+    """Per receiver: the lcm lattice ``scale`` of its states and the
+    exponents ``r`` (:func:`lcm_scaled`, with ``r``'s own lattice found
+    once), and per state the int levels ``vec[j] + r[j]`` on it, each
+    standing for the level over ``scale``."""
+    r_scale, (r_ints,) = lcm_scaled(r)
+    for states in channel.receivers:
+        scale, rows = lcm_scaled(*states, scale=r_scale)
+        up = scale // r_scale
+        yield scale, [[g + y * up for g, y in zip(row, r_ints)] for row in rows]
 
 
 def from_joint_set(matrices) -> CompoundChannel:

@@ -4,6 +4,11 @@ A target tuple is achievable by the polyhedral scheme exactly when every
 directed circuit of its graph has non-negative length. Bellman-Ford both
 decides this and yields the shortest-path lengths from the source vertex,
 which double as the canonical power initialization.
+
+A graph's edge lengths are ints on one lcm lattice (:func:`lcm_scaled`),
+written with its ``scale``: :func:`build_full` scales the target and the
+states once, Bellman-Ford adds and compares the ints as they are, and only
+the reported lengths are read back as rationals.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from .rationals import gdof_tuple, lcm_scaled, render_rational
 U = "u"
 Vertex = Union[str, tuple[int, int]]
 
-ZERO = Fraction(0)
-
 
 def vertex_label(v: Vertex) -> str:
     """Human-readable vertex name; user/state indices are printed 1-based."""
@@ -31,18 +34,21 @@ class PotentialGraph:
     """Complete digraph over per-(user, state) vertices plus the source ``u``.
 
     Edge lengths: zero between states of one user, (direct - cross) - d_k
-    across users, direct - d_k into ``u``, and zero out of ``u``.
+    across users, direct - d_k into ``u``, and zero out of ``u``. Each is an
+    int on the lattice ``scale``: a length ``w`` stands for ``w / scale``.
     """
 
     K: int
     vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[Vertex, Vertex, Fraction], ...]
+    edges: tuple[tuple[Vertex, Vertex, int], ...]
+    scale: int
 
     def dump(self) -> str:
-        """Edge list as text, one "src dst length" line per edge."""
+        """Edge list as text, one "src dst length" line per edge, lengths as
+        rationals."""
         return "\n".join(
-            f"{vertex_label(s)} {vertex_label(t)} {render_rational(w)}"
-            for s, t, w in self.edges)
+            f"{vertex_label(s)} {vertex_label(t)} "
+            f"{render_rational(Fraction(w, self.scale))}" for s, t, w in self.edges)
 
 
 @dataclass(frozen=True)
@@ -60,58 +66,35 @@ def build_full(channel, d) -> PotentialGraph:
     """Graph over every (user, state) pair. Cost grows with state counts, so
     production paths build it on the regular counterpart (one state per
     user): the reduced graph, whose feasibility and shortest-path lengths
-    from ``u`` agree exactly with the full graph's. User k's edge lengths
-    read only receiver k's states and ``d[k]``, so they are computed on
-    their own lcm lattice (:func:`lcm_scaled`)."""
+    from ``u`` agree exactly with the full graph's. The target and every
+    state vector are scaled once, onto one lcm lattice (:func:`lcm_scaled`),
+    and the lengths are written as ints on it."""
     target = gdof_tuple(d, channel.K)
     K, receivers = channel.K, channel.receivers
-    vertices: list[Vertex] = [
-        (k, l) for k in range(K) for l in range(len(receivers[k]))]
-    vertices.append(U)
-    # per (k, l): the lengths (direct - cross) - d_k to each user j, and
-    # direct - d_k into u
-    lengths: dict[Vertex, tuple[list[Fraction], Fraction]] = {}
-    for k, states in enumerate(receivers):
-        scale, (need, *vecs) = lcm_scaled([target[k]], *states)
-        for l, vec in enumerate(vecs):
-            top = vec[k] - need[0]
-            lengths[k, l] = [Fraction(top - x, scale) for x in vec], Fraction(top, scale)
-    edges: list[tuple[Vertex, Vertex, Fraction]] = []
-    for k in range(K):
-        for l in range(len(receivers[k])):
-            for l2 in range(len(receivers[k])):
-                if l2 != l:
-                    edges.append(((k, l), (k, l2), ZERO))
-    for k in range(K):
-        for l in range(len(receivers[k])):
-            cross = lengths[k, l][0]
-            for j in range(K):
-                if j == k:
-                    continue
-                for lj in range(len(receivers[j])):
-                    edges.append(((k, l), (j, lj), cross[j]))
-    for k in range(K):
-        for l in range(len(receivers[k])):
-            edges.append(((k, l), U, lengths[k, l][1]))
-    for k in range(K):
-        for l in range(len(receivers[k])):
-            edges.append((U, (k, l), ZERO))
-    return PotentialGraph(K, tuple(vertices), tuple(edges))
+    pairs = [(k, l) for k in range(K) for l in range(len(receivers[k]))]
+    scale, (need, *vecs) = lcm_scaled(
+        target, *(vec for states in receivers for vec in states))
+    top = [vec[k] - need[k] for (k, _), vec in zip(pairs, vecs)]  # direct - d_k
+    edges = [(v, w, 0) for v in pairs for w in pairs if w[0] == v[0] and w != v]
+    edges += [(v, w, x - vec[w[0]]) for v, vec, x in zip(pairs, vecs, top)
+              for w in pairs if w[0] != v[0]]
+    edges += [(v, U, x) for v, x in zip(pairs, top)]
+    edges += [(U, v, 0) for v in pairs]
+    return PotentialGraph(K, (*pairs, U), tuple(edges), scale)
 
 
 def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
     """Bellman-Ford from ``u`` with one extra detection round.
 
-    The loop runs on the edge lengths as ints on their lcm lattice
-    (:func:`lcm_scaled`) and reads distances back as rationals, so the
-    negative-circuit test is exact. Any valid negative circuit is an
-    acceptable witness; the one returned comes from walking the predecessor
-    chain.
+    The loop adds and compares the int edge lengths as they are, so the
+    negative-circuit test is exact, and reads the distances and the
+    circuit's length back as rationals over ``graph.scale``. Any valid
+    negative circuit is an acceptable witness; the one returned comes from
+    walking the predecessor chain.
     """
     index = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    scale, (lengths,) = lcm_scaled(w for _, _, w in graph.edges)
-    edges = [(index[s], index[t], w) for (s, t, _), w in zip(graph.edges, lengths)]
+    n, scale = len(graph.vertices), graph.scale
+    edges = [(index[s], index[t], w) for s, t, w in graph.edges]
     weight = {(s, t): w for s, t, w in edges}
 
     dist: list[int | None] = [None] * n

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import is_regular, subnetwork
+from .channel import is_regular, receiver_levels, subnetwork
 from .errors import (
     CertificateError,
     GuardExceededError,
@@ -47,29 +47,22 @@ ORACLE_MAX_POINTS = 2_000_000
 ORACLE_MAX_SCALED = 1 << 40  # keeps int64 grid arithmetic overflow-free
 
 
-def _interference(row, x, k) -> int:
-    """Receiver k's strongest interference level in state ``row`` under
-    exponents ``x``, on ints: the noise level 0 stands in for its own term,
-    so the result is at least 0."""
-    levels = [g + y for g, y in zip(row, x)]
-    levels[k] = 0
-    return max(levels)
+def _interference(levels, k) -> int:
+    """Receiver k's strongest interference level among its int ``levels``
+    (gain plus exponent, one per transmitter): the noise level 0 stands in
+    for its own term, so the result is at least 0."""
+    return max([0, *levels[:k], *levels[k + 1:]])
 
 
 def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
     """Per-user GDoF when all interference is treated as noise, worst state.
-    User k's TIN rate expression in each of its states is computed as ints
-    on the lcm lattice ``scale`` of receiver k's states and ``r``
-    (:func:`lcm_scaled`, with ``r``'s own lattice found once): its signal
-    level minus the strongest interference level, taken as at least the
-    noise level 0."""
-    r_scale, (r_ints,) = lcm_scaled(power_exponents(r, channel.K))
+    User k's TIN rate expression in each of its states is computed on the
+    int levels of :func:`receiver_levels`: its signal level minus the
+    strongest interference level, taken as at least the noise level 0."""
     out = []
-    for k, states in enumerate(channel.receivers):
-        scale, rows = lcm_scaled(*states, scale=r_scale)
-        up = scale // r_scale
-        x = [y * up for y in r_ints]
-        worst = min(row[k] + x[k] - _interference(row, x, k) for row in rows)
+    for k, (scale, levels) in enumerate(
+            receiver_levels(channel, power_exponents(r, channel.K))):
+        worst = min(x[k] - _interference(x, k) for x in levels)
         out.append(Fraction(max(worst, 0), scale))
     return tuple(out)
 
@@ -106,7 +99,8 @@ def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     scale, (*rows, need, x) = lcm_scaled(*a, d, r)
     iterates = [r]
     for n in range(GSFPC_MAX_ITERATIONS):
-        nxt = [need[k] - row[k] + _interference(row, x, k) for k, row in enumerate(rows)]
+        nxt = [need[k] - row[k] + _interference([g + y for g, y in zip(row, x)], k)
+               for k, row in enumerate(rows)]
         iterates.append(tuple(Fraction(v, scale) for v in nxt))
         if nxt == x:
             return iterates[-1], GsfpcTrace(tuple(iterates), True, n + 1)
@@ -160,7 +154,8 @@ def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     K = len(a)
     scale, (*rows, need, r) = lcm_scaled(*a, d, r0)
     floor = [0] * K
-    moving = [_interference(row, r, k) for k, row in enumerate(rows)]
+    moving = [_interference([g + y for g, y in zip(row, r)], k)
+              for k, row in enumerate(rows)]
     active = set(range(K))
     updates: list[GgpcUpdate] = []
     while active:

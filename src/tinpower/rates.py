@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .rationals import lcm_scaled, power_exponents
+from .channel import receiver_levels
+from .rationals import power_exponents
 
 _LN2 = math.log(2.0)
 
@@ -34,17 +35,11 @@ def _log2_sum_exp2(exponents: Sequence[float]) -> float:
 def _levels(channel, r):
     """Per receiver k and state, the levels ``vec[j] + r[j]`` as floats, and
     ``r`` as floats; None when one leaves the float range. Each level is its
-    int on receiver k's lcm lattice (:func:`lcm_scaled`, with ``r``'s own
-    lattice found once) over the lattice scale, which rounds the same
-    rational as ``float`` of the Fraction."""
-    r_scale, (r_ints,) = lcm_scaled(r)
+    int from :func:`receiver_levels` over the lattice scale, which rounds
+    the same rational as ``float`` of the Fraction."""
     try:
-        levels = []
-        for states in channel.receivers:
-            scale, rows = lcm_scaled(*states, scale=r_scale)
-            up = scale // r_scale
-            x = [y * up for y in r_ints]
-            levels.append([[(g + y) / scale for g, y in zip(row, x)] for row in rows])
+        levels = [[[x / scale for x in row] for row in rows]
+                  for scale, rows in receiver_levels(channel, r)]
         return levels, [float(y) for y in r]
     except OverflowError:
         return None

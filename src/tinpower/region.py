@@ -166,7 +166,8 @@ def circuit_bound(a, circuit) -> Constraint:
 @dataclass(frozen=True)
 class Verdict:
     """Bellman-Ford's answer on the counterpart's potential graph; for a
-    "no", ``bound`` is the bound its circuit names (:func:`circuit_bound`)."""
+    "no", ``bound`` is the bound its circuit names (:func:`circuit_bound`).
+    The graph's lengths are ints on its ``scale``; ``sp`` reports rationals."""
 
     counterpart: RegularChannel
     graph: PotentialGraph
@@ -175,9 +176,14 @@ class Verdict:
 
     def reduced_edges(self) -> list[tuple]:
         """A "yes" verdict's edges ``(s, t, w + l[s] - l[t])`` under its
-        potentials (``l[u] = 0``); as a circuit is as long as the sum of its
-        reduced lengths, these being >= 0 certifies the "yes" (else raises)."""
-        level = {v: ZERO if v == U else self.sp.l_dst[v[0]] for v in self.graph.vertices}
+        potentials (``l[u] = 0``), as ints on the graph's ``scale`` like
+        ``w``, with ``l`` taken as ``l_dst * scale``; as a circuit is as long
+        as the sum of its reduced lengths, these being >= 0 certifies the
+        "yes" (else raises, as do potentials off the lattice)."""
+        scaled = [x * self.graph.scale for x in self.sp.l_dst]
+        if any(x.denominator != 1 for x in scaled):
+            raise CertificateError("the potentials are off the graph's lattice")
+        level = {v: 0 if v == U else scaled[v[0]].numerator for v in self.graph.vertices}
         edges = [(s, t, w + level[s] - level[t]) for s, t, w in self.graph.edges]
         if any(x < 0 for _, _, x in edges):
             raise CertificateError("the shortest-path potentials leave a negative edge")
@@ -285,7 +291,7 @@ def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
         coeffs[K + src[0]] += 1
         if dst != U:
             coeffs[K + dst[0]] -= 1
-        rows.append((coeffs, x))
+        rows.append((coeffs, Fraction(x, verdict.graph.scale)))
     return rows
 
 
@@ -332,17 +338,18 @@ def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 def symmetric_gdof(channel) -> Fraction:
     """Largest t with (t, ..., t) in the region: Dinkelbach's iteration on
-    :func:`decide`. From the least direct strength of the counterpart, each
-    "no" names a bound that (t, ..., t) violates, and t drops to that
-    bound's rhs per user, strictly below the last t. The first "yes" is
-    checked by its reduced edges, and the bound that set t must be tight at
-    it, so no larger t is in the region (else :class:`CertificateError`).
-    A t below 0 means the region is empty."""
-    K, a = channel.K, regular_counterpart(channel).matrix
+    :func:`decide`, every decision on the one counterpart built here. From
+    its least direct strength, each "no" names a bound that (t, ..., t)
+    violates, and t drops to that bound's rhs per user, strictly below the
+    last t. The first "yes" is checked by its reduced edges, and the bound
+    that set t must be tight at it, so no larger t is in the region (else
+    :class:`CertificateError`). A t below 0 means the region is empty."""
+    cp = regular_counterpart(channel)
+    K, a = cp.K, cp.matrix
     k = min(range(K), key=lambda i: a[i][i])
     t, bound = a[k][k], cycle_bound(a, (k,))
     while t >= 0:
-        verdict = decide(channel, (t,) * K)
+        verdict = decide(cp, (t,) * K)
         if verdict.sp.feasible:
             verdict.reduced_edges()
             if bound.slack((t,) * K) != 0:

@@ -16,9 +16,13 @@ certificate for a claimed sum maximizer.
 
 The channel-layer references compute the regular counterpart, the full
 graph's edge lengths and the per-state achieved GDoF on ``Fraction``s
-themselves, where the package computes each receiver's values as ints on
-that receiver's lcm lattice. The local-optimality test reads the same
-per-state rate expressions.
+themselves, where the package computes ints on an lcm lattice: each
+receiver's own for the counterpart and the achieved GDoF, one for the whole
+graph. The local-optimality test reads the same per-state rate expressions.
+
+A graph's int lengths are compared as the rationals they stand for
+(:func:`fraction_edges`), so a reference need not share the package's
+lattice.
 
 The control references run the power-control updates over every receiver
 state instead of the regular counterpart's rows, starting from the full
@@ -108,8 +112,14 @@ def grid_member_polyhedral(channel, d, step: Fraction = F("0.05"),
     return False
 
 
+def fraction_edges(graph) -> tuple:
+    """The edges of a ``tp.PotentialGraph`` with each int length ``w`` read
+    as the rational ``w / graph.scale`` it stands for."""
+    return tuple((s, t, F(w, graph.scale)) for s, t, w in graph.edges)
+
+
 def _edge_weights(graph) -> dict:
-    return {(s, t): w for s, t, w in graph.edges}
+    return {(s, t): w for s, t, w in fraction_edges(graph)}
 
 
 def min_path_by_enumeration(graph, src, dst) -> Fraction | None:
@@ -156,12 +166,13 @@ def all_circuits_nonnegative(graph) -> bool:
 
 
 def bellman_ford_fractions(graph) -> tp.ShortestPathResult:
-    """``tp.shortest_paths`` on the ``Fraction`` lengths themselves rather
-    than ints on their lcm lattice: the same relaxation order, detection
-    round, predecessor walk and consistency checks, so the same result."""
+    """``tp.shortest_paths`` on the ``Fraction`` lengths themselves
+    (:func:`fraction_edges`) rather than the graph's ints: the same
+    relaxation order, detection round, predecessor walk and consistency
+    checks, so the same result."""
     index = {v: i for i, v in enumerate(graph.vertices)}
     n = len(graph.vertices)
-    edges = [(index[s], index[t], w) for s, t, w in graph.edges]
+    edges = [(index[s], index[t], w) for s, t, w in fraction_edges(graph)]
     weight = {(s, t): w for s, t, w in edges}
 
     dist: list[Fraction | None] = [None] * n
@@ -281,7 +292,8 @@ def regular_counterpart_fractions(channel) -> tuple[tuple[Fraction, ...], ...]:
 
 def full_graph_fractions(channel, d) -> tp.PotentialGraph:
     """``tp.build_full`` with every edge length computed on ``Fraction``s,
-    edges in the same order."""
+    edges in the same order, and held as ints on the lcm of the lengths'
+    own denominators."""
     d = tp.gdof_tuple(d, channel.K)
     K, receivers = channel.K, channel.receivers
     vertices = [(k, l) for k in range(K) for l in range(len(receivers[k]))]
@@ -305,7 +317,9 @@ def full_graph_fractions(channel, d) -> tp.PotentialGraph:
     for k in range(K):
         for l in range(len(receivers[k])):
             edges.append((tp.U, (k, l), F(0)))
-    return tp.PotentialGraph(K, tuple(vertices), tuple(edges))
+    scale = lcm(*(w.denominator for _, _, w in edges))
+    return tp.PotentialGraph(K, tuple(vertices),
+                             tuple((s, t, _scaled(w, scale)) for s, t, w in edges), scale)
 
 
 def gsfpc_step_per_state(channel, r, d) -> tuple[Fraction, ...]:

@@ -107,6 +107,13 @@ def test_counterpart_identity_on_regular(sym4):
     assert cp.channel == sym4
 
 
+def test_regular_channel_refuses_a_multi_state_channel(comp2):
+    # the wrapper's matrix reads state 0 and regular_counterpart returns it
+    # as it is, so a multi-state channel must not get in
+    with pytest.raises(tp.ChannelValidationError, match="one state per receiver"):
+        tp.RegularChannel(comp2)
+
+
 def test_counterpart_mixes_states():
     # direct link from one state, power-level gain from the other
     ch = tp.CompoundChannel.from_lists(

@@ -14,6 +14,7 @@ import tinpower as tp
 from tinpower.cli import ALGORITHMS, load_channel_file, main
 
 from fixtures import grid_value, in_full_region, random_compound
+from oracles import fraction_edges
 
 ROOT = Path(__file__).resolve().parent.parent
 CHANNELS = ROOT / "channels"
@@ -427,10 +428,9 @@ def test_inconsistent_bellman_ford_exits_3(capsys, monkeypatch):
     a, b = (0, 0), (1, 0)
     graphs = [
         tp.PotentialGraph(2, (a, b, tp.U), (
-            (tp.U, a, F(0)), (tp.U, b, F(0)), (a, b, F(-5)), (b, a, F(1)),
-            (a, b, F(5)))),
+            (tp.U, a, 0), (tp.U, b, 0), (a, b, -5), (b, a, 1), (a, b, 5)), 1),
         tp.PotentialGraph(1, ((0, 0), (0, 1), tp.U), (
-            (tp.U, (0, 0), F(0)), (tp.U, (0, 1), F(-1)))),
+            (tp.U, (0, 0), 0), (tp.U, (0, 1), -1)), 1),
     ]
     for graph, message in zip(graphs, ["is not negative", "user 1 disagree"]):
         monkeypatch.setattr(region, "build_full", lambda channel, d: graph)
@@ -495,7 +495,7 @@ def test_power_infeasible_circuit_is_one_of_the_full_graph_seeded(tmp_path, caps
             cycle = [_parse_vertex(v) for v in doc["negative_cycle"]["vertices"]]
             assert all(v == tp.U or d[v[0]] > 0 for v in cycle)
             graph = tp.build_full(tp.regular_counterpart(ch), d)
-            weight = {(s, t): w for s, t, w in graph.edges}
+            weight = {(s, t): w for s, t, w in fraction_edges(graph)}
             length = sum(weight[cycle[i], cycle[(i + 1) % len(cycle)]]
                          for i in range(len(cycle)))
             assert length < 0

@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -24,6 +24,7 @@ from oracles import (
     sum_optimal,
     symmetric_gdof_by_bounds,
 )
+from tinpower.region import cycle_bound
 
 
 def test_enumerate_cycles_three_users():
@@ -260,6 +261,77 @@ def test_symmetric_gdof_checks_its_last_bound(asym3, monkeypatch):
         real(a, cycle), rhs=real(a, cycle).rhs + 1))
     with pytest.raises(tp.CertificateError, match="is not tight at 1"):
         tp.symmetric_gdof(asym3)
+
+
+def test_reduced_edges_are_ints_on_the_graph_lattice(asym3):
+    # w + l[s] - l[t] with the potentials scaled onto the graph's lattice;
+    # potentials off that lattice cannot certify anything
+    verdict = tp.decide(asym3, [1, 1, 1])
+    graph, l_dst = verdict.graph, verdict.sp.l_dst
+    level = {v: F(0) if v == tp.U else l_dst[v[0]] for v in graph.vertices}
+    assert verdict.reduced_edges() == [
+        (s, t, (F(w, graph.scale) + level[s] - level[t]) * graph.scale)
+        for s, t, w in graph.edges]
+    assert all(type(x) is int for *_, x in verdict.reduced_edges())
+    bogus = replace(verdict, sp=replace(verdict.sp, l_dst=(F(-1, 3 * graph.scale), 0, 0)))
+    with pytest.raises(tp.CertificateError, match="off the graph's lattice"):
+        bogus.reduced_edges()
+
+
+def test_a_counterpart_is_its_own(comp2):
+    cp = tp.regular_counterpart(comp2)
+    assert tp.regular_counterpart(cp) is cp
+
+
+def test_symmetric_gdof_builds_one_counterpart(monkeypatch):
+    # every decision of the Dinkelbach loop runs on the counterpart built
+    # once up front; a channel is checked when it is built, so one check
+    import tinpower.channel as channel
+    import tinpower.region as region
+
+    ch = random_tin_optimal(random.Random(5), K=6, max_states=2)
+    assert not tp.is_regular(ch)
+    checked, decided = [], []
+    real_validate, real_decide = channel.validate, region.decide
+    monkeypatch.setattr(channel, "validate",
+                        lambda c: checked.append(c) or real_validate(c))
+    monkeypatch.setattr(region, "decide",
+                        lambda c, d: decided.append(c) or real_decide(c, d))
+    t = tp.symmetric_gdof(ch)
+    monkeypatch.undo()
+    assert t == symmetric_gdof_by_bounds(ch)
+    assert len(decided) >= 2
+    assert len(checked) == 1 and checked[0] == tp.regular_counterpart(ch).channel
+
+
+def realizations(channel) -> list[tp.RegularChannel]:
+    """Every single-state channel that takes one state per receiver."""
+    return [tp.RegularChannel(tp.CompoundChannel(channel.K, tuple((v,) for v in pick)))
+            for pick in product(*channel.receivers)]
+
+
+def test_counterpart_region_is_the_realizations_intersection_seeded():
+    # the paper's theorem: each bound's rhs on the counterpart is the least
+    # rhs of that bound over all prod |S_k| realizations, since receiver k
+    # adds one gain per cycle and takes its minimum alone; so a target is in
+    # the channel's region exactly when it is in every realization's
+    rng = random.Random(92)
+    answers = {True: 0, False: 0}
+    compound = 0
+    for _ in range(60):
+        ch = random_compound(rng, K=rng.randint(1, 4), max_states=3, diag_min=F(1))
+        reals = realizations(ch)
+        compound += len(reals) > 1
+        a = tp.regular_counterpart(ch).matrix
+        for cycle in [(k,) for k in range(ch.K)] + enumerate_cycles(ch.K):
+            assert cycle_bound(a, cycle).rhs == min(
+                cycle_bound(r.matrix, cycle).rhs for r in reals)
+        for _ in range(5):
+            d = [grid_value(rng, F("0.5")) for _ in range(ch.K)]
+            feasible = tp.decide(ch, d).sp.feasible
+            assert feasible == all(tp.decide(r, d).sp.feasible for r in reals)
+            answers[feasible] += 1
+    assert compound >= 40 and min(answers.values()) >= 50
 
 
 def test_region_downward_closed_random():

@@ -38,6 +38,25 @@ def test_channels_are_validated_only_where_built():
     assert callers == ["channel.CompoundChannel.__post_init__", "cli.cmd_validate"]
 
 
+def test_lattices_are_found_where_rationals_are_scaled():
+    # a potential graph carries its lattice, so Bellman-Ford
+    # (`shortest_paths`), the certificates (`Verdict`, `improvable_users`)
+    # and `decide` read the graph's `scale` and never rescale
+    callers = {f"{module}.{scope}" for module, tree in MODULES.items()
+               for scope in _callers(tree, "lcm_scaled")}
+    assert sorted(callers) == [
+        "channel.receiver_levels", "channel.regular_counterpart",
+        "potential.build_full", "power._ggpc", "power._gsfpc",
+        "power.oracle_globally_optimal", "region._cycle_bounds"]
+
+
+def test_graph_lengths_become_rationals_only_where_reported():
+    # `build_full` writes int lengths; the dump and the reported distances
+    # and circuit length are the only rationals the graph layer builds
+    scopes = set(_callers(MODULES["potential"], "Fraction"))
+    assert scopes == {"PotentialGraph.dump", "shortest_paths"}
+
+
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_private_name_crosses_modules(module):
     imported = {
