@@ -415,7 +415,7 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _parse_p_list(args) -> list[float]:
+def _parse_p_list(args) -> tuple[float, ...]:
     if not args.P:
         raise CliInputError("this command needs --P p1,p2,...")
     try:
@@ -426,7 +426,7 @@ def _parse_p_list(args) -> list[float]:
         raise CliInputError("all --P values must exceed 1")
     if not all(map(math.isfinite, powers)):
         raise CliInputError("all --P values must be finite")
-    return powers
+    return _distinct(powers)
 
 
 def cmd_rates(args) -> int:

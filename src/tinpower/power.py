@@ -1,19 +1,18 @@
 """Power-exponent evaluation and control.
 
 Transmit powers are written P**r_k with r_k <= 0. All control logic is exact:
-the loops run on ints on the lcm lattice of their rational inputs and return
-rationals, so argmin tie sets and fixed points are decided without any
-tolerance, which is what makes simultaneous user fixing well defined.
+the loops run on the int lengths of the potential graph that :func:`decide`
+builds for their start and return rationals, so argmin tie sets and fixed
+points need no tolerance, which makes simultaneous user fixing well defined.
 
 Three controls are provided. The synchronous fixed-point iteration (gsfpc)
 converges to a locally optimal allocation from the shortest-path start. The
 K-update scheme (ggpc) lowers all still-active users by the largest uniform
 amount that keeps every target met, freezes the users that hit their limit,
 and terminates with the unique componentwise-minimal achieving allocation.
-Both read only the regular counterpart's matrix, whose row k gives user k's
-worst-state TIN rate; ``achieved_gdof`` keeps the per-state definition, on
-each receiver's own lattice, which certificates check independently of the
-counterpart.
+Both read only that graph of the regular counterpart, where user k's edges
+give its worst-state TIN rate; ``achieved_gdof`` keeps the per-state
+definition, which certificates check independently of the counterpart.
 """
 
 from __future__ import annotations
@@ -47,13 +46,6 @@ ORACLE_MAX_POINTS = 2_000_000
 ORACLE_MAX_SCALED = 1 << 40  # keeps int64 grid arithmetic overflow-free
 
 
-def _interference(levels, k) -> int:
-    """Receiver k's strongest interference level among its int ``levels``
-    (gain plus exponent, one per transmitter): the noise level 0 stands in
-    for its own term, so the result is at least 0."""
-    return max([0, *levels[:k], *levels[k + 1:]])
-
-
 def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
     """Per-user GDoF when all interference is treated as noise, worst state.
     User k's TIN rate expression in each of its states is computed on the
@@ -62,7 +54,7 @@ def achieved_gdof(channel, r) -> tuple[Fraction, ...]:
     out = []
     for k, (scale, levels) in enumerate(
             receiver_levels(channel, power_exponents(r, channel.K))):
-        worst = min(x[k] - _interference(x, k) for x in levels)
+        worst = min(x[k] - max([0, *x[:k], *x[k + 1:]]) for x in levels)
         out.append(Fraction(max(worst, 0), scale))
     return tuple(out)
 
@@ -87,21 +79,32 @@ class GsfpcTrace:
     iterations: int
 
 
-def _gsfpc(a, d, r) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
-    """Synchronous fixed-point power control on the counterpart matrix ``a``.
+def _user_edges(graph) -> list[dict[int, int]]:
+    """Each user's edges on a graph with one vertex per user, as ``{t: w}``:
+    its length ``w`` to user ``t``, and to ``u`` at ``t = K``."""
+    out: list[dict[int, int]] = [{} for _ in range(graph.K)]
+    for s, t, w in graph.edges:
+        if s != U:
+            out[s[0]][graph.K if t == U else t[0]] = w
+    return out
+
+
+def _gsfpc(verdict) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
+    """Synchronous fixed-point power control on a "yes" verdict's graph.
 
     Each round sets every user's exponent to the smallest value meeting its
-    target against the current interference. From the shortest-path start the
-    iterates decrease and reach an exact fixed point, which is locally optimal
-    and dominates every local optimum below the start. Rounds run on ints on
-    the lcm lattice of ``a``, ``d`` and ``r`` (:func:`lcm_scaled`).
+    target against the current interference: ``x_k = max(x_t - w_kt)`` over
+    k's edges ``k -> t``, with ``x_u = 0``. From the shortest-path start the
+    iterates decrease and reach an exact fixed point, which is locally
+    optimal and dominates every local optimum below the start. Rounds run on
+    the graph's int lengths, from the start :meth:`~Verdict.on_lattice`.
     """
-    scale, (*rows, need, x) = lcm_scaled(*a, d, r)
-    iterates = [r]
+    scale, out = verdict.graph.scale, _user_edges(verdict.graph)
+    x = [*verdict.on_lattice(verdict.sp.l_dst), 0]
+    iterates = [verdict.sp.l_dst]
     for n in range(GSFPC_MAX_ITERATIONS):
-        nxt = [need[k] - row[k] + _interference([g + y for g, y in zip(row, x)], k)
-               for k, row in enumerate(rows)]
-        iterates.append(tuple(Fraction(v, scale) for v in nxt))
+        nxt = [*(max([x[t] - w for t, w in edges.items()]) for edges in out), 0]
+        iterates.append(tuple(Fraction(v, scale) for v in nxt[:-1]))
         if nxt == x:
             return iterates[-1], GsfpcTrace(tuple(iterates), True, n + 1)
         x = nxt
@@ -128,8 +131,8 @@ class GgpcTrace:
     updates: tuple[GgpcUpdate, ...]
 
 
-def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
-    """K-update control (Nash/global optimum) on the counterpart matrix ``a``.
+def _ggpc(verdict, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
+    """K-update control (Nash/global optimum) on a "yes" verdict for ``d``.
 
     Every update applies the largest uniform power reduction that keeps all
     still-active users at or above target, then freezes the whole argmin set.
@@ -138,44 +141,36 @@ def _ggpc(a, d, r0) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     rows equal each user's worst state, so every user ends with at least one
     state meeting its target exactly.
 
-    Updates run on ints on the lcm lattice of ``a``, ``d`` and ``r0``
-    (:func:`lcm_scaled`). Receiver k keeps two running maxima: ``floor[k]``,
-    the strongest interference from fixed users, starting at the noise level
-    0, raised to ``a[k][m] + r[m]`` when user m is fixed; and ``moving[k]``,
-    the strongest of the noise level and the interference from the users
-    active at the start, lowered by every ``delta``. Active users drop with
-    k's own signal, so an active user's margin reads only ``floor``. The
-    noise term of ``moving``, and the term of a user fixed since, are stale,
-    but at or below their terms in ``floor`` (they only dropped further), so
-    ``max(floor[k], moving[k])`` is k's strongest interference and ``moving``
-    never forgets a fixed user.
-    Margins and each trace row's achieved GDoF cost O(K) per update.
+    On the graph's ints, user k achieves ``d_k + r_k + min(w_kt - r_t)``
+    over its edges ``k -> t`` (``r_u = 0``), clamped at 0. ``cap[k]`` is
+    that least term over ``u`` and the fixed users; ``moving[k]``, over all
+    of k's edges at the start, rises by every ``delta``. An active user's
+    margin is thus ``r_k + cap[k]``. The terms of ``moving`` for ``u`` and
+    for users fixed since are stale, but only ever too high, so
+    ``min(cap[k], moving[k])`` is exact. Each update costs O(K).
     """
-    K = len(a)
-    scale, (*rows, need, r) = lcm_scaled(*a, d, r0)
-    floor = [0] * K
-    moving = [_interference([g + y for g, y in zip(row, r)], k)
-              for k, row in enumerate(rows)]
+    K, scale, out = verdict.graph.K, verdict.graph.scale, _user_edges(verdict.graph)
+    need, r = verdict.on_lattice(d), [*verdict.on_lattice(verdict.sp.l_dst), 0]
+    cap = [edges[K] for edges in out]
+    moving = [min([w - r[t] for t, w in edges.items()]) for edges in out]
     active = set(range(K))
     updates: list[GgpcUpdate] = []
     while active:
-        margins = {i: r[i] + rows[i][i] - need[i] - floor[i] for i in sorted(active)}
+        margins = {i: r[i] + cap[i] for i in sorted(active)}
         delta = min(margins.values())
         newly = tuple(i for i, x in margins.items() if x == delta)
         for i in active:
             r[i] -= delta
-        moving = [x - delta for x in moving]
+        moving = [x + delta for x in moving]
         active -= set(newly)
-        for m in newly:
-            for k, row in enumerate(rows):
-                if k != m and row[m] + r[m] > floor[k]:
-                    floor[k] = row[m] + r[m]
+        cap = [min([c, *(edges[m] - r[m] for m in newly if m != k)])
+               for k, (c, edges) in enumerate(zip(cap, out))]
         achieved = tuple(
-            Fraction(max(row[k] + r[k] - max(floor[k], moving[k]), 0), scale)
-            for k, row in enumerate(rows))
+            Fraction(max(need[k] + r[k] + min(cap[k], moving[k]), 0), scale)
+            for k in range(K))
         updates.append(GgpcUpdate(Fraction(delta, scale), newly,
-                                  tuple(Fraction(x, scale) for x in r), achieved))
-    return updates[-1].r, GgpcTrace(r0, tuple(updates))
+                                  tuple(Fraction(x, scale) for x in r[:K]), achieved))
+    return updates[-1].r, GgpcTrace(verdict.sp.l_dst, tuple(updates))
 
 
 def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
@@ -302,9 +297,9 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
             bound=verdict.bound.relabel(active))
     r_sub, trace = verdict.sp.l_dst, None
     if algorithm == "gsfpc":
-        r_sub, trace = _gsfpc(verdict.counterpart.matrix, d_sub, r_sub)
+        r_sub, trace = _gsfpc(verdict)
     elif algorithm != "sp":
-        r_sub, trace = _ggpc(verdict.counterpart.matrix, d_sub, r_sub)
+        r_sub, trace = _ggpc(verdict, d_sub)
     via_counterpart = algorithm == "ggpc" and not is_regular(sub)
     achieved_sub = certify_allocation(sub, r_sub, d_sub)
 

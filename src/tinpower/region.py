@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .channel import CompoundChannel, RegularChannel, regular_counterpart
+from .channel import CompoundChannel, regular_counterpart
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
 from .potential import U, PotentialGraph, ShortestPathResult, build_full, shortest_paths
 from .rationals import gdof_tuple, lcm_scaled, render_rational
@@ -165,25 +165,29 @@ def circuit_bound(a, circuit) -> Constraint:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Bellman-Ford's answer on the counterpart's potential graph; for a
-    "no", ``bound`` is the bound its circuit names (:func:`circuit_bound`).
-    The graph's lengths are ints on its ``scale``; ``sp`` reports rationals."""
+    """Bellman-Ford's answer on the regular counterpart's potential graph,
+    whose lengths are ints on its ``scale``; ``sp`` reports rationals. For a
+    "no", ``bound`` is the bound its circuit names (:func:`circuit_bound`)."""
 
-    counterpart: RegularChannel
     graph: PotentialGraph
     sp: ShortestPathResult
     bound: Constraint | None
 
+    def on_lattice(self, values) -> list[int]:
+        """Each of ``values`` times the graph's ``scale``, an int (else raises)."""
+        scaled = [x * self.graph.scale for x in values]
+        if any(x.denominator != 1 for x in scaled):
+            raise CertificateError("a value is off the graph's lattice")
+        return [x.numerator for x in scaled]
+
     def reduced_edges(self) -> list[tuple]:
         """A "yes" verdict's edges ``(s, t, w + l[s] - l[t])`` under its
         potentials (``l[u] = 0``), as ints on the graph's ``scale`` like
-        ``w``, with ``l`` taken as ``l_dst * scale``; as a circuit is as long
+        ``w``, with ``l`` taken :meth:`on_lattice`; as a circuit is as long
         as the sum of its reduced lengths, these being >= 0 certifies the
         "yes" (else raises, as do potentials off the lattice)."""
-        scaled = [x * self.graph.scale for x in self.sp.l_dst]
-        if any(x.denominator != 1 for x in scaled):
-            raise CertificateError("the potentials are off the graph's lattice")
-        level = {v: 0 if v == U else scaled[v[0]].numerator for v in self.graph.vertices}
+        scaled = self.on_lattice(self.sp.l_dst)
+        level = {v: 0 if v == U else scaled[v[0]] for v in self.graph.vertices}
         edges = [(s, t, w + level[s] - level[t]) for s, t, w in self.graph.edges]
         if any(x < 0 for _, _, x in edges):
             raise CertificateError("the shortest-path potentials leave a negative edge")
@@ -202,7 +206,7 @@ def decide(channel, d) -> Verdict:
     if bound is not None and bound.holds(d):
         raise CertificateError(
             f"the target satisfies the circuit's bound {bound.export_line(cp.K)}")
-    return Verdict(cp, graph, sp, bound)
+    return Verdict(graph, sp, bound)
 
 
 def member(channel, d, constraints: RegionConstraints | None = None,

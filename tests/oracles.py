@@ -27,7 +27,9 @@ lattice.
 The control references run the power-control updates over every receiver
 state instead of the regular counterpart's rows, starting from the full
 per-state graph's shortest paths as found by :func:`bellman_ford_fractions`,
-the package's Bellman-Ford loop kept on ``Fraction`` lengths.
+the package's Bellman-Ford loop kept on ``Fraction`` lengths. The global
+optimum has a reference with no updates at all: minus each user's distance
+to ``u`` on that graph.
 """
 
 from __future__ import annotations
@@ -357,6 +359,20 @@ def ggpc_per_state(channel, d):
         updates.append(tp.GgpcUpdate(
             delta, newly, tuple(r), achieved_gdof_fractions(channel, r)))
     return tuple(r), tp.GgpcTrace(r0, tuple(updates))
+
+
+def least_allocation_by_distances(channel, d) -> tuple[Fraction, ...]:
+    """The componentwise-minimal allocation achieving ``d``, by shortest
+    paths alone: every allocation meeting every state's rate expression
+    satisfies ``r_k >= r_t - w_kt`` over the full graph's edges ``k -> t``
+    (``r_u = 0``), so ``r_k >= -(k's distance to u)``, and that bound is
+    met. The distances to ``u`` are :func:`bellman_ford_fractions` from
+    ``u`` on the :func:`full_graph_fractions` graph with every edge
+    reversed."""
+    graph = full_graph_fractions(channel, d)
+    reversed_graph = tp.PotentialGraph(
+        graph.K, graph.vertices, tuple((t, s, w) for s, t, w in graph.edges), graph.scale)
+    return tuple(-x for x in bellman_ford_fractions(reversed_graph).l_dst)
 
 
 def _solve_square(rows) -> tuple[Fraction, ...] | None:

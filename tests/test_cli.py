@@ -622,6 +622,16 @@ def test_rates_repeated_alg_is_solved_once(capsys):
     assert sum(row[0] == "ggpc" for row in rows) == 6  # 3 users x 2 powers
 
 
+def test_rates_repeated_power_is_swept_once(capsys):
+    flags = ["--channel", str(CHANNELS / "mix3.json"), "--alg", "ggpc",
+             "--target", "0.5,0.6,0.7"]
+    code, out, _ = run(capsys, "rates", *flags, "--P", "10,100,10.0")
+    assert code == 0
+    assert out == run(capsys, "rates", *flags, "--P", "10,100")[1]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert sum(row[:2] == ["ggpc", "10"] for row in rows) == 3  # one row per user
+
+
 def test_rates_requires_positive_targets(capsys):
     code, _, err = run(
         capsys, "rates", "--channel", str(CHANNELS / "asym3.json"),

@@ -21,6 +21,7 @@ from oracles import (
     full_graph_fractions,
     ggpc_per_state,
     gsfpc_step_per_state,
+    least_allocation_by_distances,
     locally_optimal,
     regular_counterpart_fractions,
     worst_state_rate,
@@ -235,6 +236,31 @@ def test_prime_denominators_match_fraction_references():
         assert verdict.sp.feasible == feasible
     sol = tp.solve_power(ch, [F("0.605")] * 60, "ggpc")
     assert (sol.allocation, sol.trace) == ggpc_per_state(ch, [F("0.605")] * 60)
+
+
+def test_ggpc_is_minus_the_distances_to_u_seeded():
+    # the grid oracle stops at 2e6 points; distances to u certify the global
+    # optimum at any K, on and off the region boundary
+    rng = random.Random(77)
+    checked = 0
+    while checked < 200:
+        ch = random_compound(rng, K=rng.randint(1, 6))
+        d = feasible_grid_target(rng, ch)
+        if d is None:
+            continue
+        checked += 1
+        assert tp.solve_power(ch, d, "ggpc").allocation == (
+            least_allocation_by_distances(ch, d))
+
+
+@pytest.mark.parametrize("K", [20, 40, 60])
+def test_ggpc_is_minus_the_distances_to_u_large(K):
+    rng = random.Random(K)
+    ch = random_tin_optimal(rng, K=K, max_states=2)
+    v = [grid_value(rng, F(1), lo=F("0.5")) for _ in range(K)]
+    inside, _ = boundary_targets(ch, v)
+    assert tp.solve_power(ch, inside, "ggpc").allocation == (
+        least_allocation_by_distances(ch, inside))
 
 
 def rational_graph(graph):

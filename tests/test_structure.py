@@ -40,14 +40,27 @@ def test_channels_are_validated_only_where_built():
 
 def test_lattices_are_found_where_rationals_are_scaled():
     # a potential graph carries its lattice, so Bellman-Ford
-    # (`shortest_paths`), the certificates (`Verdict`, `improvable_users`)
-    # and `decide` read the graph's `scale` and never rescale
+    # (`shortest_paths`), the certificates (`Verdict`, `improvable_users`),
+    # `decide` and the controls (`_gsfpc`, `_ggpc`) read the graph's `scale`
+    # and never rescale
     callers = {f"{module}.{scope}" for module, tree in MODULES.items()
                for scope in _callers(tree, "lcm_scaled")}
     assert sorted(callers) == [
         "channel.receiver_levels", "channel.regular_counterpart",
-        "potential.build_full", "power._ggpc", "power._gsfpc",
-        "power.oracle_globally_optimal", "region._cycle_bounds"]
+        "potential.build_full", "power.oracle_globally_optimal",
+        "region._cycle_bounds"]
+
+
+def test_controls_read_only_the_decision_graph():
+    # the controls iterate on the Verdict's graph: nothing in `power` reads a
+    # counterpart's matrix, and a Verdict holds no counterpart to read
+    read = {node.attr for node in ast.walk(MODULES["power"])
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"matrix", "counterpart"}
+    verdict = next(node for node in ast.walk(MODULES["region"])
+                   if isinstance(node, ast.ClassDef) and node.name == "Verdict")
+    fields = [node.target.id for node in verdict.body if isinstance(node, ast.AnnAssign)]
+    assert fields == ["graph", "sp", "bound"]
 
 
 def test_graph_lengths_become_rationals_only_where_reported():
