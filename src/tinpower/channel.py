@@ -67,8 +67,13 @@ class CompoundChannel:
 
 def _distinct(states) -> StateSet:
     """The state vectors with exact duplicates dropped, first occurrences
-    kept in order."""
-    return tuple(dict.fromkeys(states))
+    kept in order. A vector is keyed on its entries' (numerator,
+    denominator) pairs: equal values share them however they were written,
+    and ints hash far faster than ``Fraction``s."""
+    first: dict[tuple, StateVector] = {}
+    for vec in states:
+        first.setdefault(tuple([x.as_integer_ratio() for x in vec]), vec)
+    return tuple(first.values())
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 from .channel import (
     CompoundChannel,
@@ -56,6 +57,9 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 EXIT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a write to a closed pipe
+
+# region bounds per write: the report streams, so its memory stays bounded
+STREAM_CHUNK = 64
 
 
 class CliInputError(Exception):
@@ -290,29 +294,66 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_region(args) -> int:
+    """The region's inequality list, then its sum and symmetric optima.
+
+    The bounds are enumerated and both optima computed before the first byte
+    is written, so a refusal or a failed check leaves stdout empty. The
+    report then streams to stdout, :data:`STREAM_CHUNK` bounds per write,
+    and is never held whole: each bound is rendered once, and the JSON reads
+    byte for byte as ``json.dumps(indent=2)`` of the whole document.
+    """
     cf = load_channel_file(args.channel)
     cons = region_constraints(cf.channel)
-    lines = cons.export_lines()
-    data = {
-        "command": "region",
-        "channel": cf.name,
-        "constraints": [
-            _constraint_data(c, line) for c, line in zip(cons.constraints, lines)],
-    }
     try:
         total, maximizer = sum_gdof(cf.channel)
         symmetric = symmetric_gdof(cf.channel)
-        data["sum_gdof"] = render_rational(total)
-        data["sum_gdof_maximizer"] = _render_vec(maximizer)
-        data["symmetric_gdof"] = render_rational(symmetric)
-        lines.append(f"# sum GDoF {render_rational(total)} at "
-                     f"({', '.join(_render_vec(maximizer))})")
-        lines.append(f"# symmetric GDoF {render_rational(symmetric)}")
+        tail = {
+            "sum_gdof": render_rational(total),
+            "sum_gdof_maximizer": _render_vec(maximizer),
+            "symmetric_gdof": render_rational(symmetric),
+        }
+        notes = [f"# sum GDoF {tail['sum_gdof']} at "
+                 f"({', '.join(tail['sum_gdof_maximizer'])})",
+                 f"# symmetric GDoF {tail['symmetric_gdof']}"]
     except EmptyRegionError:
-        data["empty"] = True
-        lines.append("# region is empty")
-    Report(data, "\n".join(lines)).emit(args.json)
+        tail, notes = {"empty": True}, ["# region is empty"]
+    lines = cons.export_lines()
+    if not args.json:
+        _stream(chain(lines, notes), "\n")
+        sys.stdout.write("\n")
+        return EXIT_OK
+    # the head and the tail are laid out by json itself, less the braces
+    # ("\n}" and "{\n") that the whole document shares
+    head = json.dumps({"command": "region", "channel": cf.name}, indent=2)
+    sys.stdout.write(f'{head[:-2]},\n  "constraints": [\n')
+    _stream(map(_bound_json, cons.constraints, lines), ",\n")
+    sys.stdout.write(f"\n  ],\n{json.dumps(tail, indent=2)[2:]}\n")
     return EXIT_OK
+
+
+def _bound_json(c, line: str) -> str:
+    """:func:`_constraint_data` of bound ``c`` as ``json.dumps(indent=2)``
+    lays it out in the ``region`` report's list; its rhs is the one
+    rendered at the end of ``line``."""
+    cycle = _json_users(c.cycle) if c.cycle else "null"
+    return (f'    {{\n      "users": {_json_users(c.users)},\n'
+            f'      "rhs": "{line.rpartition(" <= ")[2]}",\n'
+            f'      "cycle": {cycle},\n      "inequality": "{line}"\n    }}')
+
+
+def _json_users(indices) -> str:
+    """``_users(indices)`` as ``json.dumps(indent=2)`` lays out an array
+    under a bound's key."""
+    return "[\n        " + ",\n        ".join(str(i + 1) for i in indices) + "\n      ]"
+
+
+def _stream(pieces, sep: str) -> None:
+    """Write ``pieces`` to stdout separated by ``sep``, :data:`STREAM_CHUNK`
+    of them per write."""
+    pieces = iter(pieces)
+    sys.stdout.write(next(pieces, ""))
+    while batch := list(islice(pieces, STREAM_CHUNK)):
+        sys.stdout.write(sep + sep.join(batch))
 
 
 def cmd_pareto(args) -> int:
@@ -426,7 +467,7 @@ def _parse_p_list(args) -> tuple[float, ...]:
         raise CliInputError("all --P values must exceed 1")
     if not all(map(math.isfinite, powers)):
         raise CliInputError("all --P values must be finite")
-    return _distinct(powers)
+    return tuple(dict.fromkeys(powers))
 
 
 def cmd_rates(args) -> int:
@@ -449,7 +490,7 @@ def cmd_rates(args) -> int:
         else:
             raise CliInputError(
                 "--alg needs a target (--target or a targets list in the file)")
-        for alg in _distinct(alg.strip() for alg in args.alg.split(",")):
+        for alg in dict.fromkeys(alg.strip() for alg in args.alg.split(",")):
             for d in targets:
                 if any(x == 0 for x in d):
                     raise CliInputError(

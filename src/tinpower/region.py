@@ -15,6 +15,7 @@ rational.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,8 +58,10 @@ class Constraint:
         return Constraint(tuple(users[i] for i in self.users), self.rhs,
                           self.cycle and tuple(users[i] for i in self.cycle))
 
-    def export_line(self, K: int) -> str:
-        return f"{_terms(self.users, K)} <= {render_rational(self.rhs)}"
+    def export_line(self, K: int, terms: str | None = None) -> str:
+        """``1*d1 + 0*d2 + ... <= rhs``; ``terms``, when given, is the
+        left-hand side already rendered."""
+        return f"{terms or _terms(self.users, K)} <= {render_rational(self.rhs)}"
 
 
 def _terms(users, K: int) -> str:
@@ -74,16 +77,14 @@ class RegionConstraints:
     K: int
     constraints: tuple[Constraint, ...]
 
-    def export_lines(self) -> list[str]:
-        """Each constraint's :meth:`Constraint.export_line`; the terms of a
-        user set are rendered once, however many bounds share it."""
+    def export_lines(self) -> Iterator[str]:
+        """Each constraint's :meth:`Constraint.export_line`, one at a time, so
+        a caller can write the list without holding it; the terms of a user
+        set are rendered once, however many bounds share it."""
         terms: dict[tuple[int, ...], str] = {}
-        lines = []
         for c in self.constraints:
-            if c.users not in terms:
-                terms[c.users] = _terms(c.users, self.K)
-            lines.append(f"{terms[c.users]} <= {render_rational(c.rhs)}")
-        return lines
+            lhs = terms.get(c.users) or terms.setdefault(c.users, _terms(c.users, self.K))
+            yield c.export_line(self.K, lhs)
 
     def export(self) -> str:
         return "\n".join(self.export_lines())
@@ -132,6 +133,8 @@ def _cycle_bounds(a) -> tuple[Constraint, ...]:
 
     for s in range(K):
         extend((s,), 1 << s, tuple(range(s + 1, K)), 0, [g[s] for g in gain])
+    # the closure holds itself and `first`: free both on return, not at a gc pass
+    del extend
     kept = sorted((len(cycle), tuple(sorted(cycle)), rhs, cycle)
                   for (_, rhs), cycle in first.items())
     return tuple(Constraint(users, Fraction(rhs, scale), cycle if m > 1 else None)

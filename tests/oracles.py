@@ -9,6 +9,10 @@ The inequality list itself has a reference: every cyclic sequence of every
 user subset, enumerated by ``itertools`` and summed on ``Fraction``s, where
 the package runs one depth-first search on ints.
 
+The ``region`` command's report has a reference that builds it whole: the
+document as one dict printed by ``json.dumps(indent=2)``, or its lines
+joined, where the command streams each bound as it renders it.
+
 The optimum references scan the enumerated inequality list instead of the
 potential-form LP: the sum optimum over every vertex (active sets of K
 inequalities), the symmetric optimum as the least rhs per user, and a KKT
@@ -41,6 +45,7 @@ from math import lcm
 import numpy as np
 
 import tinpower as tp
+from tinpower.cli import EXIT_OK, Report, _constraint_data, _render_vec, load_channel_file
 from tinpower.region import Constraint, RegionConstraints, cycle_bound
 
 F = Fraction
@@ -249,6 +254,34 @@ def region_constraints_fractions(channel) -> RegionConstraints:
         unique.setdefault((c.users, c.rhs), c)
     return RegionConstraints(K, tuple(sorted(
         unique.values(), key=lambda c: (len(c.users), c.users, c.rhs))))
+
+
+def cmd_region_whole(args) -> int:
+    """``tinpower.cli.cmd_region`` with the report built whole before it is
+    printed: one dict per bound, each line from :meth:`Constraint.export_line`."""
+    cf = load_channel_file(args.channel)
+    cons = tp.region_constraints(cf.channel)
+    lines = [c.export_line(cons.K) for c in cons.constraints]
+    data = {
+        "command": "region",
+        "channel": cf.name,
+        "constraints": [
+            _constraint_data(c, line) for c, line in zip(cons.constraints, lines)],
+    }
+    try:
+        total, maximizer = tp.sum_gdof(cf.channel)
+        symmetric = tp.symmetric_gdof(cf.channel)
+        data["sum_gdof"] = tp.render_rational(total)
+        data["sum_gdof_maximizer"] = _render_vec(maximizer)
+        data["symmetric_gdof"] = tp.render_rational(symmetric)
+        lines.append(f"# sum GDoF {tp.render_rational(total)} at "
+                     f"({', '.join(_render_vec(maximizer))})")
+        lines.append(f"# symmetric GDoF {tp.render_rational(symmetric)}")
+    except tp.EmptyRegionError:
+        data["empty"] = True
+        lines.append("# region is empty")
+    Report(data, "\n".join(lines)).emit(args.json)
+    return EXIT_OK
 
 
 def state_rate(vec, r, k) -> Fraction:

@@ -59,6 +59,10 @@ def test_duplicate_states_dropped_on_load():
     ch = tp.CompoundChannel.from_lists(
         [[["1", "0.5"], ["1", "0.5"], ["0.8", "0.2"]], [["0.5", "1"]]])
     assert ch.state_counts == (2, 1)
+    # equal values merge however they are written, first occurrences in order
+    ch = tp.CompoundChannel.from_lists(
+        [[["0.8", "0.2"], ["1", "0.5"], ["1/1", "1/2"], ["4/5", "0.20"]], [["0.5", "1"]]])
+    assert ch.receivers[0] == ((F("0.8"), F("0.2")), (F(1), F("0.5")))
 
 
 def test_floats_parse_via_decimal_rendering():

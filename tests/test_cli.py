@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -5,16 +7,24 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import tinpower as tp
+from tinpower import cli
 from tinpower.cli import ALGORITHMS, load_channel_file, main
 
-from fixtures import grid_value, in_full_region, random_compound
-from oracles import fraction_edges
+from fixtures import (
+    grid_value,
+    in_full_region,
+    prime_denominator_channel,
+    random_compound,
+    random_tin_optimal,
+)
+from oracles import cmd_region_whole, fraction_edges
 
 ROOT = Path(__file__).resolve().parent.parent
 CHANNELS = ROOT / "channels"
@@ -199,6 +209,39 @@ def test_region_reports_keep_their_bytes(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, as_json)
+
+
+def channel_doc(channel, name=None) -> dict:
+    doc = {"K": channel.K, "receivers": [
+        {"states": [[tp.render_rational(x) for x in vec] for vec in states]}
+        for states in channel.receivers]}
+    return doc if name is None else {"name": name, **doc}
+
+
+def test_region_streams_the_bytes_of_the_whole_report(tmp_path, capsys, monkeypatch):
+    # the streamed report against the one built whole before it is printed
+    # (`oracles.cmd_region_whole`): stdout, stderr and exit code, text and
+    # JSON, on random channels with K 1-7 and 1-3 states (most of the
+    # unconstrained ones have an empty region), a prime-denominator channel,
+    # a name that JSON must escape and a K over the guard
+    rng = random.Random(19)
+    docs = [channel_doc((random_compound if n % 2 else random_tin_optimal)(rng, 1 + n % 7))
+            for n in range(56)]
+    docs.append(channel_doc(prime_denominator_channel(rng, 5)))
+    docs.append(channel_doc(random_tin_optimal(rng, 4), name='say "TIN" \\ café'))
+    docs.append({"K": 11, "receivers": [
+        {"states": [["1" if j == k else "0.1" for j in range(11)]]} for k in range(11)]})
+    empty = 0
+    for n, doc in enumerate(docs):
+        path = write(tmp_path, f"c{n}.json", doc)
+        for flags in ([], ["--json"]):
+            argv = ["region", "--channel", path, *flags]
+            streamed = run(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_region", cmd_region_whole)
+                assert run(capsys, *argv) == streamed, (doc, flags)
+        empty += streamed[1].endswith('"empty": true\n}\n')
+    assert empty >= 20
 
 
 def test_region_guard_exits_2(tmp_path, capsys):
@@ -789,29 +832,94 @@ def test_unchecked_load_reports_what_the_commands_refuse(tmp_path, capsys):
             2, "", f"error: {path}: invalid channel: {err.value}\n")
 
 
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv, closed", [
-    (["region", "--channel", str(CHANNELS / "mix3.json"), "--json"], "stdout"),
-    (["feasible", "--channel", str(CHANNELS / "asym3.json"), "--target", "2,2,0"], "stdout"),
-    (["rates", "--channel", str(CHANNELS / "sym4.json"), "--alg", "sp", "--P", "10,100"],
-     "stdout"),
-    (["validate", "--channel", str(ROOT / "no" / "such.json")], "both"),
-], ids=["region", "feasible-no", "rates", "missing-file"])
-def test_closed_stdout_exits_141_quietly(argv, closed, buffered):
-    # a reader that leaves early (`| head -c 10`, or `2>&1 | head -c 0` for
-    # an error line) closes the pipe before the report is written: no
-    # traceback, and no exit code that reads as a verdict, whether the write
-    # fails at once or at the final flush
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+K7 = "<a K = 7 channel>"
+
+
+def seven_user_path(tmp_path) -> str:
+    """A K = 7 channel whose ``region --json`` report (about 400 KB) is
+    larger than a pipe's 64 KB buffer."""
+    return write(tmp_path, "k7.json", channel_doc(random_tin_optimal(random.Random(7), 7)))
+
+
+def cli_env(buffered: bool) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, closed", [
+    (["region", "--channel", str(CHANNELS / "mix3.json"), "--json"], "stdout"),
+    (["region", "--channel", K7, "--json"], "stdout"),
+    (["feasible", "--channel", str(CHANNELS / "asym3.json"), "--target", "2,2,0"], "stdout"),
+    (["rates", "--channel", str(CHANNELS / "sym4.json"), "--alg", "sp", "--P", "10,100"],
+     "stdout"),
+    (["validate", "--channel", str(ROOT / "no" / "such.json")], "both"),
+], ids=["region", "region-k7", "feasible-no", "rates", "missing-file"])
+def test_closed_stdout_exits_141_quietly(argv, closed, buffered, tmp_path):
+    # a reader that leaves early (`| head -c 10`, or `2>&1 | head -c 0` for
+    # an error line) closes the pipe before the report is written: no
+    # traceback, and no exit code that reads as a verdict, whether the write
+    # fails at once or at the final flush
+    argv = [seven_user_path(tmp_path) if a == K7 else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "tinpower.cli", *argv],
-                              stdout=write_end, env=env, timeout=120,
+                              stdout=write_end, env=cli_env(buffered), timeout=120,
                               stderr=write_end if closed == "both" else subprocess.PIPE)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr or b"") == (141, b"")
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_stdout_closed_mid_stream_exits_141_quietly(tmp_path, buffered):
+    # `region --json | head -c 16`: the report has started when the reader
+    # leaves, and the write that fills the pipe's buffer fails
+    argv = ["region", "--channel", seven_user_path(tmp_path), "--json"]
+    with subprocess.Popen([sys.executable, "-m", "tinpower.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=cli_env(buffered)) as proc:
+        assert proc.stdout.read(16) == b'{\n  "command": "'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+@pytest.mark.parametrize("optimum", ["sum_gdof", "symmetric_gdof"])
+def test_region_failed_check_leaves_stdout_empty(capsys, monkeypatch, optimum):
+    # both optima are checked before the first bound is written
+    def fail(channel):
+        raise tp.CertificateError("forced failure")
+
+    monkeypatch.setattr(cli, optimum, fail)
+    for flags in ([], ["--json"]):
+        assert run(capsys, "region", "--channel", str(CHANNELS / "mix3.json"), *flags) == (
+            3, "", "internal check failure: forced failure\n")
+
+
+def test_region_export_memory_stays_near_its_bounds(tmp_path):
+    # the report streams: writing the K = 8 list (1.5 MB of JSON) adds
+    # little to what enumerating it holds (building the report whole peaked
+    # at about 5.9 times as much)
+    path = write(tmp_path, "k8.json", channel_doc(random_tin_optimal(random.Random(8), 8)))
+    channel = load_channel_file(path).channel
+    report = ["region", "--channel", path, "--json"]
+
+    def peak(call):
+        gc.collect()  # also empties the free lists, whose blocks count as held
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        assert main(report) == 0  # lazy imports happen outside the measure
+        streamed = peak(lambda: main(report))
+    enumerated = peak(lambda: tp.region_constraints(channel))
+    assert streamed <= 1.5 * enumerated, streamed / enumerated
