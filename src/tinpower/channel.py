@@ -136,10 +136,12 @@ def validate(channel: CompoundChannel) -> None:
                     f"receiver {k} state {l} has {len(vec)} entries, "
                     f"expected {channel.K}", receiver=k, state=l)
             for entry in vec:
-                if entry < 0:
+                # a rational's sign is its numerator's (the denominator is
+                # positive), which compares far faster than ``Fraction``s do
+                if getattr(entry, "numerator", entry) < 0:
                     raise ChannelValidationError(
                         f"receiver {k} state {l} has negative strength "
-                        f"{render_rational(entry)}", receiver=k, state=l)
+                        f"{render_rational(parse_rational(entry))}", receiver=k, state=l)
 
 
 def is_regular(channel: CompoundChannel) -> bool:

@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, starmap
 
 from .channel import (
     CompoundChannel,
@@ -39,15 +39,17 @@ from .power import (
     ALGORITHMS,
     GgpcTrace,
     GsfpcTrace,
+    active_subnetwork,
     certify_allocation,
     solve_power,
 )
 from .rates import sweep
 from .rationals import gdof_tuple, power_exponents, rational_parser, render_rational
 from .region import (
+    bound_lines,
+    bounds,
     decide,
     improvable_users,
-    region_constraints,
     sum_gdof,
     symmetric_gdof,
 )
@@ -187,13 +189,14 @@ def _cycle_data(cycle, length) -> dict:
     }
 
 
-def _dump_graphs(channel, d) -> None:
-    """The reduced and full graphs at the parsed target ``d``: those of the
-    channel's regular counterpart and of the channel itself."""
+def _dump_graphs(channel, d, users=None) -> None:
+    """The reduced and full graphs at the target ``d``: those of the
+    channel's regular counterpart and of the channel itself, each user ``i``
+    printed as ``users[i]`` when given."""
     print("# reduced potential graph", file=sys.stderr)
-    print(build_full(regular_counterpart(channel), d).dump(), file=sys.stderr)
+    print(build_full(regular_counterpart(channel), d).dump(users), file=sys.stderr)
     print("# full potential graph", file=sys.stderr)
-    print(build_full(channel, d).dump(), file=sys.stderr)
+    print(build_full(channel, d).dump(users), file=sys.stderr)
 
 
 def cmd_validate(args) -> int:
@@ -296,14 +299,15 @@ def cmd_feasible(args) -> int:
 def cmd_region(args) -> int:
     """The region's inequality list, then its sum and symmetric optima.
 
-    The bounds are enumerated and both optima computed before the first byte
+    The K guard is checked and both optima computed before the first byte
     is written, so a refusal or a failed check leaves stdout empty. The
-    report then streams to stdout, :data:`STREAM_CHUNK` bounds per write,
-    and is never held whole: each bound is rendered once, and the JSON reads
-    byte for byte as ``json.dumps(indent=2)`` of the whole document.
+    bounds are then enumerated one user set at a time (:func:`bounds`) and
+    stream to stdout, :data:`STREAM_CHUNK` per write: neither the list nor
+    the report is ever held whole. Each bound is rendered once, and the JSON
+    reads byte for byte as ``json.dumps(indent=2)`` of the whole document.
     """
     cf = load_channel_file(args.channel)
-    cons = region_constraints(cf.channel)
+    found = bounds(cf.channel)
     try:
         total, maximizer = sum_gdof(cf.channel)
         symmetric = symmetric_gdof(cf.channel)
@@ -317,16 +321,16 @@ def cmd_region(args) -> int:
                  f"# symmetric GDoF {tail['symmetric_gdof']}"]
     except EmptyRegionError:
         tail, notes = {"empty": True}, ["# region is empty"]
-    lines = cons.export_lines()
+    lines = bound_lines(cf.channel.K, found)
     if not args.json:
-        _stream(chain(lines, notes), "\n")
+        _stream(chain((line for _, line in lines), notes), "\n")
         sys.stdout.write("\n")
         return EXIT_OK
     # the head and the tail are laid out by json itself, less the braces
     # ("\n}" and "{\n") that the whole document shares
     head = json.dumps({"command": "region", "channel": cf.name}, indent=2)
     sys.stdout.write(f'{head[:-2]},\n  "constraints": [\n')
-    _stream(map(_bound_json, cons.constraints, lines), ",\n")
+    _stream(starmap(_bound_json, lines), ",\n")
     sys.stdout.write(f"\n  ],\n{json.dumps(tail, indent=2)[2:]}\n")
     return EXIT_OK
 
@@ -353,7 +357,7 @@ def _stream(pieces, sep: str) -> None:
     pieces = iter(pieces)
     sys.stdout.write(next(pieces, ""))
     while batch := list(islice(pieces, STREAM_CHUNK)):
-        sys.stdout.write(sep + sep.join(batch))
+        sys.stdout.write(sep.join(["", *batch]))
 
 
 def cmd_pareto(args) -> int:
@@ -415,8 +419,10 @@ def cmd_power(args) -> int:
     d = _parse_target(args, cf.channel)
     if not args.alg:
         raise CliInputError(f"this command needs --alg, one of {ALGORITHMS}")
-    if args.debug_graph:
-        _dump_graphs(cf.channel, d)
+    if args.debug_graph and any(d):
+        # the graphs the control decides on: the active users' subnetwork
+        active, sub, d_sub = active_subnetwork(cf.channel, d)
+        _dump_graphs(sub, d_sub, active)
     try:
         sol = solve_power(cf.channel, d, args.alg)
     except InfeasibleTargetError as exc:

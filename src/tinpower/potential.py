@@ -43,11 +43,14 @@ class PotentialGraph:
     edges: tuple[tuple[Vertex, Vertex, int], ...]
     scale: int
 
-    def dump(self) -> str:
+    def dump(self, users=None) -> str:
         """Edge list as text, one "src dst length" line per edge, lengths as
-        rationals."""
+        rationals; each user ``i`` is named as ``users[i]`` when given."""
+        def label(v):
+            return vertex_label(v if users is None or v == U else (users[v[0]], v[1]))
+
         return "\n".join(
-            f"{vertex_label(s)} {vertex_label(t)} "
+            f"{label(s)} {label(t)} "
             f"{render_rational(Fraction(w, self.scale))}" for s, t, w in self.edges)
 
 

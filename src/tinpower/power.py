@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import is_regular, receiver_levels, subnetwork
+from .channel import CompoundChannel, is_regular, receiver_levels, subnetwork
 from .errors import (
     CertificateError,
     GuardExceededError,
@@ -264,6 +264,16 @@ class PowerSolution:
 ALGORITHMS = ("sp", "gsfpc", "ggpc", "ggpc-c")
 
 
+def active_subnetwork(channel, d) -> tuple[list[int], CompoundChannel, tuple[Fraction, ...]]:
+    """The users with a non-zero target in ``d`` (at least one), the
+    subnetwork of them that the controls decide and run on (the channel
+    itself when no target is zero), and their targets."""
+    d = gdof_tuple(d, channel.K)
+    active = [i for i, x in enumerate(d) if x > 0]
+    sub = subnetwork(channel, active) if len(active) < channel.K else channel
+    return active, sub, tuple(d[i] for i in active)
+
+
 def solve_power(channel, d, algorithm: str) -> PowerSolution:
     """Run one of the named controls, deactivating zero-target users first.
 
@@ -279,13 +289,11 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
     d = gdof_tuple(d, channel.K)
-    active = [i for i, x in enumerate(d) if x > 0]
     silent = tuple(i for i, x in enumerate(d) if x == 0)
-    if not active:
+    if len(silent) == channel.K:
         return PowerSolution(algorithm, (None,) * channel.K, silent, False, None,
                              (ZERO,) * channel.K)
-    sub = subnetwork(channel, active) if silent else channel
-    d_sub = tuple(d[i] for i in active)
+    active, sub, d_sub = active_subnetwork(channel, d)
     verdict = decide(sub, d_sub)
     if not verdict.sp.feasible:
         raise InfeasibleTargetError(

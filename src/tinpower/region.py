@@ -6,18 +6,19 @@ the regular counterpart. Every yes/no question is decided by :func:`decide`
 on its potential graph, whose circuits are exactly these bounds (Geng,
 Naderializadeh, Avestimehr and Jafar, IEEE T-IT 2015). The symmetric
 optimum is a short sequence of these decisions; the sum optimum solves one
-LP over the graph's potentials. The enumerated list serves only the export:
-one depth-first search per smallest user carries each sequence's bound as an
-int prefix sum on the counterpart's lcm lattice, and only the bounds kept
-after merging coinciding ones become rationals. Every result is an exact
-rational.
+LP over the graph's potentials. The enumerated list serves only the export,
+which takes it one user set at a time: one depth-first search per user set
+carries each sequence's bound as an int prefix sum on the counterpart's lcm
+lattice, and only the bounds kept after merging coinciding ones become
+rationals. Every result is an exact rational.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .channel import CompoundChannel, regular_counterpart
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
@@ -70,6 +71,18 @@ def _terms(users, K: int) -> str:
     return " + ".join(f"{'1' if i in members else '0'}*d{i + 1}" for i in range(K))
 
 
+def bound_lines(K: int, constraints: Iterable[Constraint],
+                ) -> Iterator[tuple[Constraint, str]]:
+    """Each of ``constraints`` with its :meth:`Constraint.export_line`, one at a
+    time; the terms of a user set are rendered once for a run of bounds on
+    it, as the bounds of :class:`RegionConstraints` come."""
+    users = terms = None
+    for c in constraints:
+        if c.users != users:
+            users, terms = c.users, _terms(c.users, K)
+        yield c, c.export_line(K, terms)
+
+
 @dataclass(frozen=True)
 class RegionConstraints:
     """Deduplicated, deterministically ordered inequality list."""
@@ -78,13 +91,10 @@ class RegionConstraints:
     constraints: tuple[Constraint, ...]
 
     def export_lines(self) -> Iterator[str]:
-        """Each constraint's :meth:`Constraint.export_line`, one at a time, so
-        a caller can write the list without holding it; the terms of a user
-        set are rendered once, however many bounds share it."""
-        terms: dict[tuple[int, ...], str] = {}
-        for c in self.constraints:
-            lhs = terms.get(c.users) or terms.setdefault(c.users, _terms(c.users, self.K))
-            yield c.export_line(self.K, lhs)
+        """Each constraint's :meth:`Constraint.export_line`, one at a time
+        (:func:`bound_lines`), so a caller can write the list without
+        holding it."""
+        return (line for _, line in bound_lines(self.K, self.constraints))
 
     def export(self) -> str:
         return "\n".join(self.export_lines())
@@ -102,43 +112,73 @@ def cycle_bound(a, cycle) -> Constraint:
     return Constraint(tuple(sorted(cycle)), rhs, cycle=tuple(cycle))
 
 
-def _cycle_bounds(a) -> tuple[Constraint, ...]:
+def _cycle_bounds(a) -> Iterator[Constraint]:
     """Every per-user and cyclic-sequence bound of the counterpart matrix
     ``a``, exactly coinciding ones merged, in the order of
-    :class:`RegionConstraints`.
+    :class:`RegionConstraints`, one user set at a time.
 
-    Sequences are canonical rotations, starting at their smallest user. One
-    depth-first search per start ``s`` extends each sequence by a larger user
-    not yet on it, in increasing order, carrying the gains ``a_ii - a_ij``
-    along it as an int prefix sum on the lcm lattice of ``a``
-    (:func:`lcm_scaled`); the gain back to ``s`` closes it. Within one user
-    set the search meets the sequences in lexicographic order, and the first
-    sequence met with a given (user set, rhs) is the one kept.
+    The per-user bounds come first; then, by length and in
+    :func:`itertools.combinations` order, each user set's sequences, found
+    by :func:`_set_cycles` and sorted by rhs. Only the gains ``a_ii - a_ij``
+    scaled onto the lcm lattice of ``a`` (:func:`lcm_scaled`) and one set's
+    sequences are held at a time.
     """
     K = len(a)
-    if K > CYCLE_GUARD_K:
-        raise GuardExceededError(
-            f"cycle enumeration guarded at K <= {CYCLE_GUARD_K} (got {K})")
     scale, rows = lcm_scaled(*a)
     gain = [[row[i] - x for x in row] for i, row in enumerate(rows)]
-    first = {(1 << i, rows[i][i]): (i,) for i in range(K)}
+    for i in range(K):
+        yield Constraint((i,), Fraction(rows[i][i], scale))
+    for m in range(2, K + 1):
+        for users in combinations(range(K), m):
+            first = _set_cycles(gain, users)
+            for rhs in sorted(first):
+                yield Constraint(users, Fraction(rhs, scale), first[rhs])
 
-    def extend(cycle, mask, rest, prefix, back):
-        row = gain[cycle[-1]]
-        for n, j in enumerate(rest):
-            longer, users, through = cycle + (j,), mask | 1 << j, prefix + row[j]
-            first.setdefault((users, through + back[j]), longer)
-            if len(rest) > 1:
-                extend(longer, users, rest[:n] + rest[n + 1:], through, back)
 
-    for s in range(K):
-        extend((s,), 1 << s, tuple(range(s + 1, K)), 0, [g[s] for g in gain])
+def _set_cycles(gain, users) -> dict[int, tuple[int, ...]]:
+    """The cyclic sequences through exactly ``users`` (increasing), by the
+    int rhs of their bound on the lattice of ``gain``: the first met of each.
+
+    Sequences are canonical rotations, starting at the smallest user. A
+    depth-first search extends each by a user not yet on it, in increasing
+    order, carrying the gains along it as an int prefix sum; the gain back to
+    the start closes it. It thus meets the sequences in lexicographic order.
+    The last two users are placed inline, in both orders.
+    """
+    s, rest = users[0], users[1:]
+    back = [g[s] for g in gain]
+    if len(rest) == 1:
+        return {gain[s][rest[0]] + back[rest[0]]: users}
+    first: dict[int, tuple[int, ...]] = {}
+    path = [s]
+
+    def extend(left, prefix):
+        row = gain[path[-1]]
+        if len(left) == 2:
+            for j, k in (left, left[::-1]):
+                rhs = prefix + row[j] + gain[j][k] + back[k]
+                if rhs not in first:
+                    first[rhs] = (*path, j, k)
+            return
+        for n, j in enumerate(left):
+            path.append(j)
+            extend(left[:n] + left[n + 1:], prefix + row[j])
+            path.pop()
+
+    extend(rest, 0)
     # the closure holds itself and `first`: free both on return, not at a gc pass
     del extend
-    kept = sorted((len(cycle), tuple(sorted(cycle)), rhs, cycle)
-                  for (_, rhs), cycle in first.items())
-    return tuple(Constraint(users, Fraction(rhs, scale), cycle if m > 1 else None)
-                 for m, users, rhs, cycle in kept)
+    return first
+
+
+def bounds(channel: CompoundChannel) -> Iterator[Constraint]:
+    """The bounds of :func:`region_constraints`, in its order, one user set
+    at a time. The K guard is checked here, before the first bound is
+    asked for."""
+    if channel.K > CYCLE_GUARD_K:
+        raise GuardExceededError(
+            f"cycle enumeration guarded at K <= {CYCLE_GUARD_K} (got {channel.K})")
+    return _cycle_bounds(regular_counterpart(channel).matrix)
 
 
 def region_constraints(channel: CompoundChannel) -> RegionConstraints:
@@ -147,7 +187,7 @@ def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     One upper bound per user plus one bound per cyclic sequence, evaluated on
     the regular counterpart. Exactly coinciding inequalities are merged.
     """
-    return RegionConstraints(channel.K, _cycle_bounds(regular_counterpart(channel).matrix))
+    return RegionConstraints(channel.K, tuple(bounds(channel)))
 
 
 def circuit_bound(a, circuit) -> Constraint:

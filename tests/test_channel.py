@@ -30,6 +30,18 @@ def test_validate_negative_strength():
     assert "negative" in str(err.value)
 
 
+@pytest.mark.parametrize("entry, shown", [(F(-3, 2), "-1.5"), (-2, "-2"), (-0.1, "-0.1")],
+                         ids=["fraction", "int", "float"])
+def test_validate_negative_entry_of_each_number_type(entry, shown):
+    # the sign is read off the numerator where there is one; a float has
+    # none and is compared as it is, and is shown as it is written
+    tp.CompoundChannel(2, (((1, 0.0), (F(1), 0)), ((0.5, F(1)),)))
+    with pytest.raises(tp.ChannelValidationError) as err:
+        tp.CompoundChannel(2, (((1, 0.5), (F(1), entry)), ((0, 1),)))
+    assert (err.value.receiver, err.value.state, str(err.value)) == (
+        0, 1, f"receiver 0 state 1 has negative strength {shown}")
+
+
 def test_validate_rejects_bool_user_count():
     with pytest.raises(tp.ChannelValidationError):
         tp.validate(tp.CompoundChannel(True, (((F(1),),),)))

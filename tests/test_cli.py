@@ -2,6 +2,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -24,7 +25,7 @@ from fixtures import (
     random_compound,
     random_tin_optimal,
 )
-from oracles import cmd_region_whole, fraction_edges
+from oracles import bellman_ford_fractions, cmd_region_whole, fraction_edges
 
 ROOT = Path(__file__).resolve().parent.parent
 CHANNELS = ROOT / "channels"
@@ -223,12 +224,14 @@ def test_region_streams_the_bytes_of_the_whole_report(tmp_path, capsys, monkeypa
     # (`oracles.cmd_region_whole`): stdout, stderr and exit code, text and
     # JSON, on random channels with K 1-7 and 1-3 states (most of the
     # unconstrained ones have an empty region), a prime-denominator channel,
-    # a name that JSON must escape and a K over the guard
+    # a name that JSON must escape, a K = 8 channel (about 2000 bounds, so
+    # many user sets and write chunks) and a K over the guard
     rng = random.Random(19)
     docs = [channel_doc((random_compound if n % 2 else random_tin_optimal)(rng, 1 + n % 7))
             for n in range(56)]
     docs.append(channel_doc(prime_denominator_channel(rng, 5)))
     docs.append(channel_doc(random_tin_optimal(rng, 4), name='say "TIN" \\ café'))
+    docs.append(channel_doc(random_tin_optimal(rng, 8)))
     docs.append({"K": 11, "receivers": [
         {"states": [["1" if j == k else "0.1" for j in range(11)]]} for k in range(11)]})
     empty = 0
@@ -435,6 +438,43 @@ def test_debug_graph_dump(capsys):
     assert "# reduced potential graph" in err
     assert "# full potential graph" in err
     assert any(len(line.split()) == 3 for line in err.splitlines())
+
+
+def parse_dump(text) -> tp.PotentialGraph:
+    """The graph of a ``--debug-graph`` dump, its users renumbered 0, 1, ...
+    in the order of their printed numbers."""
+    rows = [line.split() for line in text.splitlines()]
+    users = sorted({int(v[1:].partition("[")[0]) for row in rows for v in row[:2] if v != tp.U})
+
+    def vertex(label):
+        k, _, state = label[1:-1].partition("[")
+        return tp.U if label == tp.U else (users.index(int(k)), int(state) - 1)
+
+    lengths = [F(w) for *_, w in rows]
+    scale = math.lcm(*(w.denominator for w in lengths))
+    edges = tuple((vertex(s), vertex(t), int(w * scale))
+                  for (s, t, _), w in zip(rows, lengths))
+    return tp.PotentialGraph(len(users), tuple({s: None for s, _, _ in edges}),
+                             edges, scale)
+
+
+def test_power_debug_graph_dumps_the_graph_it_decides_on(tmp_path, capsys):
+    # `power` decides on the subnetwork of its non-zero targets: the whole
+    # channel's graph at (0, 0.1, 0.4) holds the negative circuit
+    # v3 -> v2 -> v1 of length -0.5, yet user 1 is silent and the target met
+    path = write(tmp_path, "silent.json", {"K": 3, "receivers": [
+        {"states": [["1.9", "1.8", "1.8"]]}, {"states": [["1.2", "2", "0.5"]]},
+        {"states": [["0.5", "1.6", "0.7"]]}]})
+    code, out, err = run(capsys, "power", "--channel", path, "--target", "0,0.1,0.4",
+                         "--alg", "sp", "--debug-graph")
+    assert (code, out) == (0, "allocation (silent, -1.3, 0) achieves (0, 0.2, 0.4)\n"
+                                "silent users: [1]\n")
+    reduced = err.split("# reduced potential graph\n")[1].split("# full potential graph\n")[0]
+    assert "v1[" not in err
+    assert {line.split()[0] for line in reduced.splitlines()} == {"v2[1]", "v3[1]", "u"}
+    assert bellman_ford_fractions(parse_dump(reduced)).feasible
+    whole = tp.build_full(load_channel_file(path).channel, ["0", "0.1", "0.4"])
+    assert not bellman_ford_fractions(parse_dump(whole.dump())).feasible
 
 
 def test_certificate_failure_exits_3(capsys, monkeypatch):
@@ -901,12 +941,10 @@ def test_region_failed_check_leaves_stdout_empty(capsys, monkeypatch, optimum):
             3, "", "internal check failure: forced failure\n")
 
 
-def test_region_export_memory_stays_near_its_bounds(tmp_path):
-    # the report streams: writing the K = 8 list (1.5 MB of JSON) adds
-    # little to what enumerating it holds (building the report whole peaked
-    # at about 5.9 times as much)
-    path = write(tmp_path, "k8.json", channel_doc(random_tin_optimal(random.Random(8), 8)))
-    channel = load_channel_file(path).channel
+def region_peaks(tmp_path, channel) -> tuple[int, int]:
+    """The traced peaks of ``region --json`` on ``channel`` and of
+    ``tp.region_constraints`` on it."""
+    path = write(tmp_path, "region.json", channel_doc(channel))
     report = ["region", "--channel", path, "--json"]
 
     def peak(call):
@@ -921,5 +959,27 @@ def test_region_export_memory_stays_near_its_bounds(tmp_path):
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
         assert main(report) == 0  # lazy imports happen outside the measure
         streamed = peak(lambda: main(report))
-    enumerated = peak(lambda: tp.region_constraints(channel))
+    return streamed, peak(lambda: tp.region_constraints(channel))
+
+
+def test_region_export_memory_stays_near_its_bounds(tmp_path):
+    # the report streams: writing the K = 8 list (1.5 MB of JSON) holds no
+    # more than enumerating it does (building the report whole peaked at
+    # about 5.9 times as much)
+    streamed, enumerated = region_peaks(tmp_path, random_tin_optimal(random.Random(8), 8))
     assert streamed <= 1.5 * enumerated, streamed / enumerated
+
+
+def test_region_export_holds_one_user_set_at_a_time(tmp_path):
+    # the export enumerates the bounds one user set at a time and never
+    # holds the list: on a K = 8 channel on a 0.01 grid (about 5000 bounds,
+    # few of them coinciding) it peaks at a small part of what the list
+    # takes (enumerating the whole list first peaked at about 1.01 times it)
+    rng = random.Random(20)
+    channel = tp.CompoundChannel.from_lists([
+        [[grid_value(rng, F(2), F("0.01"), lo=F(1)) if j == k
+          else grid_value(rng, F("0.5"), F("0.01")) for j in range(8)]
+         for _ in range(1 + k % 3)]
+        for k in range(8)])
+    streamed, enumerated = region_peaks(tmp_path, channel)
+    assert streamed <= enumerated / 4, streamed / enumerated

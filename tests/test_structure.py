@@ -80,3 +80,29 @@ def test_no_private_name_crosses_modules(module):
         for alias in node.names if alias.name.startswith("_")}
     allowed = {("channel", "_distinct")} if module == "cli" else set()
     assert imported <= allowed
+
+
+def _function(tree, name) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_cli_never_builds_the_region_list():
+    # `region` streams its bounds; the whole list is the library's answer
+    # to `region_constraints`, never the export's
+    assert _callers(MODULES["cli"], "region_constraints") == []
+
+
+def test_cycle_bounds_yields_one_user_set_at_a_time():
+    body = ast.walk(_function(MODULES["region"], "_cycle_bounds"))
+    assert any(isinstance(node, (ast.Yield, ast.YieldFrom)) for node in body)
+
+
+def test_region_bounds_have_one_public_renderer():
+    # `cmd_region` and `RegionConstraints.export_lines` render each bound
+    # through `region.bound_lines`, which `cli` imports by its public name
+    assert _callers(MODULES["cli"], "bound_lines") == ["cmd_region"]
+    assert _callers(MODULES["region"], "bound_lines") == ["RegionConstraints.export_lines"]
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "region"
+               and "bound_lines" in [alias.name for alias in node.names]
+               for node in ast.walk(MODULES["cli"]))
