@@ -17,10 +17,16 @@ definition, which certificates check independently of the counterpart.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+# numpy serves only elementwise int work here, never BLAS. Its OpenBLAS would
+# start a worker pool at import that spins for a while on the other cores, so
+# a short CLI call paid for a second core and slowed whenever that core was
+# busy. One BLAS thread, unless the caller chose a count, keeps it to one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np  # noqa: E402  (after the thread count above)
 
 from .channel import CompoundChannel, is_regular, receiver_levels, subnetwork
 from .errors import (

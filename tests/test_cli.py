@@ -915,6 +915,26 @@ def test_closed_stdout_exits_141_quietly(argv, closed, buffered, tmp_path):
     assert (proc.returncode, proc.stderr or b"") == (141, b"")
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_import_starts_no_blas_worker_threads():
+    # numpy serves elementwise int work only, so a CLI process keeps to its
+    # one thread rather than spinning up an OpenBLAS pool at import
+    env = cli_env(buffered=True)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    code = "import os, tinpower; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "1\n")
+
+
+def test_import_keeps_a_chosen_blas_thread_count():
+    env = dict(cli_env(buffered=True), OPENBLAS_NUM_THREADS="3")
+    code = "import os, tinpower; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "3\n")
+
+
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 def test_stdout_closed_mid_stream_exits_141_quietly(tmp_path, buffered):
     # `region --json | head -c 16`: the report has started when the reader
