@@ -5,12 +5,13 @@ sum bound per cyclic sequence of users; state uncertainty collapses through
 the regular counterpart. Every yes/no question is decided by :func:`decide`
 on its potential graph, whose circuits are exactly these bounds (Geng,
 Naderializadeh, Avestimehr and Jafar, IEEE T-IT 2015). The symmetric
-optimum is a short sequence of these decisions; the sum optimum solves one
-LP over the graph's potentials. The enumerated list serves only the export,
-which takes it one user set at a time: one depth-first search per user set
-carries each sequence's bound as an int prefix sum on the counterpart's lcm
-lattice, and only the bounds kept after merging coinciding ones become
-rationals. Every result is an exact rational.
+optimum is a short sequence of these decisions; the sum optimum is one
+min-cost circulation on the d = 0 graph, the dual of the LP over its
+potentials. The enumerated list serves only the export, which takes it one
+user set at a time: one depth-first search per user set carries each
+sequence's bound as an int prefix sum on the counterpart's lcm lattice, and
+only the bounds kept after merging coinciding ones become rationals. Every
+result is an exact rational.
 """
 
 from __future__ import annotations
@@ -318,68 +319,65 @@ def pareto(channel, d, constraints: RegionConstraints | None = None) -> bool:
         f"pareto requires a member tuple; violated: {violated.export_line(channel.K)}")
 
 
-def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
-    """The region as rows ``coeffs . (d, s) <= rhs`` over ``d, s >= 0``: one
-    per edge ``x -> y`` out of a user of the reduced graph, the potential
-    constraint ``l[y] <= l[x] + w - d_x`` with ``l = l0 - s``. Bellman-Ford
-    at ``d = 0`` gives ``l0``, the greatest feasible potentials at any
-    ``d >= 0``, so ``s >= 0`` loses nothing and each rhs, the edge's reduced
-    length under ``l0``, is ``>= 0``."""
+def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Exact maximum of the GDoF sum over the region, with one maximizer.
+    Among maximizers the lexicographically greatest is returned (objectives:
+    the sum, then d1, ..., dK), which makes ties deterministic.
+
+    By LP duality the largest ``sum(w_k * d_k)`` over the potential form is
+    the least cost of a circulation on the d = 0 graph with each user split
+    into ``k_in -> k_out`` (cost 0, flow at least ``w_k``). The other arcs,
+    ``k_out -> j_in``, ``k_out -> u`` and ``u -> k_in``, cost their reduced
+    lengths (:meth:`Verdict.reduced_edges`), which are >= 0, so the
+    potentials ``p`` start at 0. Successive shortest paths send each
+    ``w_k`` from ``k_out`` back to a ``k_in`` by Dijkstra on the reduced
+    costs (Ahuja, Magnanti and Orlin, *Network Flows*, 1993); the final
+    potentials are optimal, and ``d_k = p(k_in) - p(k_out)`` on the graph's
+    lattice."""
     K = channel.K
     verdict = decide(channel, (ZERO,) * K)
     if not verdict.sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
         raise EmptyRegionError(EMPTY_REGION)
-    rows = []
-    for src, dst, x in verdict.reduced_edges():
-        if src == U:
-            continue
-        coeffs = [ZERO] * (2 * K)
-        coeffs[src[0]] += 1
-        coeffs[K + src[0]] += 1
-        if dst != U:
-            coeffs[K + dst[0]] -= 1
-        rows.append((coeffs, Fraction(x, verdict.graph.scale)))
-    return rows
-
-
-def _lex_max(rows, objectives) -> tuple[Fraction, ...]:
-    """The lexicographic maximum of ``objectives`` over ``x >= 0`` with
-    ``coeffs . x <= rhs`` (every ``rhs >= 0``): simplex from the origin on a
-    condensed tableau whose rows, objectives included, read ``basic = value
-    - sum(entry * nonbasic)``. A column with lexicographically negative
-    objective entries enters; Bland's rule (least entering label, ratio ties
-    to the least basic label; slacks are labelled from n) terminates."""
-    n, m = len(objectives[0]), len(rows)
-    tab = [[Fraction(c) for c in coeffs] + [Fraction(rhs)] for coeffs, rhs in rows]
-    tab += [[-Fraction(c) for c in obj] + [ZERO] for obj in objectives]
-    basic, nonbasic = list(range(n, n + m)), list(range(n))
-    while entering := [c for c in range(n)
-                       if next((row[c] for row in tab[m:] if row[c]), 0) < 0]:
-        c = min(entering, key=lambda c: nonbasic[c])
-        r = min((i for i in range(m) if tab[i][c] > 0),
-                key=lambda i: (tab[i][-1] / tab[i][c], basic[i]))
-        p = tab[r][c]
-        tab[r] = [x / p for x in tab[r]]
-        tab[r][c] = 1 / p
-        for i, row in enumerate(tab):
-            if i != r and row[c]:
-                f = row[c]
-                tab[i] = [x - f * y for x, y in zip(row, tab[r])]
-                tab[i][c] = -f / p
-        basic[r], nonbasic[c] = nonbasic[c], basic[r]
-    value = dict(zip(basic, (row[-1] for row in tab)))
-    return tuple(value.get(label, ZERO) for label in range(n))
-
-
-def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact maximum of the GDoF sum over the region, with one maximizer:
-    one LP over the potential form. Among maximizers the lexicographically
-    greatest is returned (objectives: the sum, then d1, ..., dK), which
-    makes ties deterministic."""
-    K = channel.K
-    objectives = [[1] * K + [0] * K]
-    objectives += [[int(i == k) for i in range(2 * K)] for k in range(K)]
-    d = _lex_max(_potential_rows(channel), objectives)[:K]
+    # The potential form is a system of difference constraints (totally
+    # unimodular), so every vertex of the region lies on the graph's lattice,
+    # with coordinates in [0, A] for A the largest scaled direct strength.
+    # Two vertices then differ by one of 2A + 1 values per coordinate, and
+    # base B = 2A + 1 digits rank them by (sum, d1, ..., dK): one solve with
+    # w_k = B^K + B^(K-1-k) finds the lexicographically greatest maximizer.
+    base = 2 * max(w for _, t, w in verdict.graph.edges if t == U) + 1
+    n = 2 * K + 1  # k_in is k, k_out is K + k, u is 2K
+    arcs = [(k, K + k, 0) for k in range(K)]
+    arcs += [(n - 1 if s == U else K + s[0], n - 1 if t == U else t[0], x)
+             for s, t, x in verdict.reduced_edges()]
+    out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, (s, t, x) in enumerate(arcs):
+        out[s].append((i, t, x, 1))
+        into[t].append((i, s, -x, -1))
+    weight = [base ** K + base ** (K - 1 - k) for k in range(K)]
+    excess, flow, p = [-w for w in weight] + weight + [0], [0] * len(arcs), [0] * n
+    for s in range(K, 2 * K):
+        while excess[s]:
+            dist, pred, todo = {s: 0}, {}, {s}
+            while excess[v := min(todo, key=dist.__getitem__)] >= 0:
+                todo.remove(v)
+                for i, t, x, sign in out[v] + [arc for arc in into[v] if flow[arc[0]]]:
+                    reach = dist[v] + x + p[v] - p[t]
+                    if t not in dist or reach < dist[t]:
+                        dist[t], pred[t] = reach, (v, i, sign)
+                        todo.add(t)
+            # v is the nearest deficit; nodes not settled by then move as far
+            # as v, which keeps every reduced cost >= 0
+            p = [x + min(dist.get(w, dist[v]), dist[v]) for w, x in enumerate(p)]
+            path, t = [], v
+            while t != s:
+                t, i, sign = pred[t]
+                path.append((i, sign))
+            push = min([excess[s], -excess[v]] + [flow[i] for i, sign in path if sign < 0])
+            for i, sign in path:
+                flow[i] += sign * push
+            excess[s] -= push
+            excess[v] += push
+    d = tuple(Fraction(p[k] - p[K + k], verdict.graph.scale) for k in range(K))
     return sum(d, start=ZERO), d
 
 

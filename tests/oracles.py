@@ -14,9 +14,12 @@ document as one dict printed by ``json.dumps(indent=2)``, or its lines
 joined, where the command streams each bound as it renders it.
 
 The optimum references scan the enumerated inequality list instead of the
-potential-form LP: the sum optimum over every vertex (active sets of K
+potential graph: the sum optimum over every vertex (active sets of K
 inequalities), the symmetric optimum as the least rhs per user, and a KKT
-certificate for a claimed sum maximizer.
+certificate for a claimed sum maximizer. The sum optimum has a second
+reference that reaches past K = 4: the potential form as one LP, solved by a
+simplex on ``Fraction`` tableaus, where the package solves its dual, a
+min-cost circulation on the graph's ints.
 
 The channel-layer references compute the regular counterpart, the full
 graph's edge lengths and the per-state achieved GDoF on ``Fraction``s
@@ -46,7 +49,7 @@ import numpy as np
 
 import tinpower as tp
 from tinpower.cli import EXIT_OK, Report, _constraint_data, _render_vec, load_channel_file
-from tinpower.region import Constraint, RegionConstraints, cycle_bound
+from tinpower.region import EMPTY_REGION, Constraint, RegionConstraints, cycle_bound
 
 F = Fraction
 
@@ -467,6 +470,72 @@ def sum_gdof_by_vertices(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
         if best is None or key > best:
             best = key
     return best
+
+
+def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
+    """The region as rows ``coeffs . (d, s) <= rhs`` over ``d, s >= 0``: one
+    per edge ``x -> y`` out of a user of the reduced graph, the potential
+    constraint ``l[y] <= l[x] + w - d_x`` with ``l = l0 - s``. Bellman-Ford
+    at ``d = 0`` gives ``l0``, the greatest feasible potentials at any
+    ``d >= 0``, so ``s >= 0`` loses nothing and each rhs, the edge's reduced
+    length under ``l0``, is ``>= 0``."""
+    K = channel.K
+    verdict = tp.decide(channel, (F(0),) * K)
+    if not verdict.sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
+        raise tp.EmptyRegionError(EMPTY_REGION)
+    rows = []
+    for src, dst, x in verdict.reduced_edges():
+        if src == tp.U:
+            continue
+        coeffs = [F(0)] * (2 * K)
+        coeffs[src[0]] += 1
+        coeffs[K + src[0]] += 1
+        if dst != tp.U:
+            coeffs[K + dst[0]] -= 1
+        rows.append((coeffs, F(x, verdict.graph.scale)))
+    return rows
+
+
+def _lex_max(rows, objectives) -> tuple[Fraction, ...]:
+    """The lexicographic maximum of ``objectives`` over ``x >= 0`` with
+    ``coeffs . x <= rhs`` (every ``rhs >= 0``): simplex from the origin on a
+    condensed tableau whose rows, objectives included, read ``basic = value
+    - sum(entry * nonbasic)``. A column with lexicographically negative
+    objective entries enters; Bland's rule (least entering label, ratio ties
+    to the least basic label; slacks are labelled from n) terminates. Zero
+    entries are kept as they are at each pivot, not rebuilt."""
+    n, m = len(objectives[0]), len(rows)
+    tab = [[F(c) for c in coeffs] + [F(rhs)] for coeffs, rhs in rows]
+    tab += [[-F(c) for c in obj] + [F(0)] for obj in objectives]
+    basic, nonbasic = list(range(n, n + m)), list(range(n))
+    while entering := [c for c in range(n)
+                       if next((row[c] for row in tab[m:] if row[c]), 0) < 0]:
+        c = min(entering, key=lambda c: nonbasic[c])
+        r = min((i for i in range(m) if tab[i][c] > 0),
+                key=lambda i: (tab[i][-1] / tab[i][c], basic[i]))
+        p = tab[r][c]
+        tab[r] = [x / p if x else x for x in tab[r]]
+        tab[r][c] = 1 / p
+        for i, row in enumerate(tab):
+            if i != r and row[c]:
+                f = row[c]
+                tab[i] = [x - f * y if y else x for x, y in zip(row, tab[r])]
+                tab[i][c] = -f / p
+        basic[r], nonbasic[c] = nonbasic[c], basic[r]
+    value = dict(zip(basic, (row[-1] for row in tab)))
+    return tuple(value.get(label, F(0)) for label in range(n))
+
+
+def sum_gdof_by_simplex(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """``tp.sum_gdof`` as one LP over the potential form, solved by a
+    Bland's-rule simplex on ``Fraction`` tableaus: the sum, then d1, ...,
+    dK, each maximized in turn, so the same lexicographically greatest
+    maximizer. No graph algorithm past the d = 0 verdict."""
+    K = channel.K
+    objectives = [[1] * K + [0] * K]
+    objectives += [[int(i == k) for i in range(2 * K)] for k in range(K)]
+    d = _lex_max(_potential_rows(channel), objectives)[:K]
+    return sum(d, start=F(0)), d
 
 
 def symmetric_gdof_by_bounds(channel) -> Fraction:

@@ -1,7 +1,9 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +22,15 @@ from oracles import (
     enumerate_cycles,
     grid_member_polyhedral,
     region_constraints_fractions,
+    sum_gdof_by_simplex,
     sum_gdof_by_vertices,
     sum_optimal,
     symmetric_gdof_by_bounds,
 )
 from tinpower.region import cycle_bound
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import random_channel  # noqa: E402
 
 
 def test_enumerate_cycles_three_users():
@@ -386,9 +392,10 @@ def test_graph_verdicts_match_enumeration_seeded():
 
 
 def test_optima_match_vertex_enumeration_seeded():
-    # the potential-form LP against the vertex enumeration of the inequality
-    # list, including its lexicographically greatest maximizer and empty
-    # regions (about half of these channels have a negative sum bound)
+    # the sum's circulation and the symmetric optimum against the vertex
+    # enumeration of the inequality list, including the lexicographically
+    # greatest maximizer and empty regions (about half of these channels
+    # have a negative sum bound)
     rng = random.Random(43)
     empty = 0
     for n in range(60):
@@ -417,6 +424,39 @@ def test_optima_certified_at_five_to_seven_users():
         assert sum_optimal(ch, maximizer)
         assert tp.symmetric_gdof(ch) == min(
             c.rhs / len(c.users) for c in cons.constraints)
+
+
+def test_sum_gdof_matches_the_simplex_seeded():
+    # the circulation against the potential-form LP past the vertex
+    # enumeration's reach: K 5-10, 1-3 states, cross strengths up to 0.5, 1
+    # and 2 against direct strengths 1-4, so some regions are empty
+    rng = random.Random(47)
+    empty, answered = 0, set()
+    for n in range(36):
+        cross_max = ("0.5", "1", "2")[n % 3]
+        ch = tp.CompoundChannel.from_lists(
+            random_channel(rng, 5 + n % 6, (1, 3), cross_max=cross_max, direct=("1", "4")))
+        try:
+            expected = sum_gdof_by_simplex(ch)
+        except tp.EmptyRegionError:
+            empty += 1
+            with pytest.raises(tp.EmptyRegionError, match="a sum bound is negative"):
+                tp.sum_gdof(ch)
+            continue
+        assert tp.sum_gdof(ch) == expected
+        answered.add(cross_max)
+    assert empty and answered == {"0.5", "1", "2"}
+
+
+def test_sum_gdof_past_the_old_reach():
+    # K = 20, far past the vertex enumeration: the simplex reference's
+    # optimum, at a member maximizer on which no user can still be raised alone
+    ch = tp.CompoundChannel.from_lists(random_channel(random.Random(20), 20, (2, 2)))
+    total, maximizer = tp.sum_gdof(ch)
+    assert (total, maximizer) == sum_gdof_by_simplex(ch)
+    verdict = tp.decide(ch, maximizer)
+    assert verdict.sp.feasible
+    assert tp.improvable_users(verdict) == ()
 
 
 def test_optima_never_enumerate(monkeypatch):

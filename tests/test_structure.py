@@ -41,8 +41,8 @@ def test_channels_are_validated_only_where_built():
 def test_lattices_are_found_where_rationals_are_scaled():
     # a potential graph carries its lattice, so Bellman-Ford
     # (`shortest_paths`), the certificates (`Verdict`, `improvable_users`),
-    # `decide` and the controls (`_gsfpc`, `_ggpc`) read the graph's `scale`
-    # and never rescale
+    # `decide`, the controls (`_gsfpc`, `_ggpc`) and the sum optimum's
+    # circulation (`sum_gdof`) read the graph's `scale` and never rescale
     callers = {f"{module}.{scope}" for module, tree in MODULES.items()
                for scope in _callers(tree, "lcm_scaled")}
     assert sorted(callers) == [
@@ -61,6 +61,15 @@ def test_controls_read_only_the_decision_graph():
                    if isinstance(node, ast.ClassDef) and node.name == "Verdict")
     fields = [node.target.id for node in verdict.body if isinstance(node, ast.AnnAssign)]
     assert fields == ["graph", "sp", "bound"]
+
+
+def test_sum_optimum_runs_on_the_certified_start():
+    # the circulation reads the d = 0 verdict's reduced edges, which check
+    # the start; the simplex on the potential form is the tests' reference only
+    assert "sum_gdof" in _callers(MODULES["region"], "reduced_edges")
+    defined = {node.name for node in ast.walk(MODULES["region"])
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_lex_max", "_potential_rows"}
 
 
 def test_graph_lengths_become_rationals_only_where_reported():
