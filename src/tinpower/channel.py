@@ -13,7 +13,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ChannelValidationError
-from .rationals import lcm_scaled, parse_rational, rational_parser, render_rational
+from .rationals import (
+    lcm_scaled,
+    one_lattice,
+    parse_rational,
+    rational_parser,
+    render_rational,
+)
 
 StateVector = tuple[Fraction, ...]
 StateSet = tuple[StateVector, ...]
@@ -202,13 +208,26 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
     Each direct link takes the user's weakest direct strength over its states;
     each cross link preserves the pair's minimum power-level gain (direct
     minus cross). The two minima may come from different states, so the result
-    is generally none of the original network realizations. Row k reads only
-    receiver k's states, so it is computed on their own lcm lattice
-    (:func:`lcm_scaled`). A :class:`RegularChannel` is returned as it is.
+    is generally none of the original network realizations. This is the
+    ``Fraction`` reading of :func:`counterpart_lattice`, each row read on its
+    receiver's lattice. A :class:`RegularChannel` is returned as it is.
     """
     if isinstance(channel, RegularChannel):
         return channel
-    rows = []
+    rows = tuple((tuple(Fraction(x, scale) for x in row),)
+                 for scale, (row,) in _counterpart_rows(channel))
+    return RegularChannel(CompoundChannel(channel.K, rows))
+
+
+def counterpart_lattice(channel) -> tuple[int, list[list[int]]]:
+    """The regular counterpart's matrix as ints on one lattice: ``(scale,
+    rows)`` (:func:`one_lattice`), which decisions, bounds and optima read."""
+    return one_lattice(_counterpart_rows(channel))
+
+
+def _counterpart_rows(channel):
+    """Per receiver k: the lcm lattice of its states (:func:`lcm_scaled`)
+    and, alone in a list, row k of the counterpart as ints on it."""
     for k, states in enumerate(channel.receivers):
         scale, vecs = lcm_scaled(*states)
         direct = min(vec[k] for vec in vecs)
@@ -216,8 +235,7 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
         # states: the direct link itself at j = k (gain 0), and >= 0 across,
         # since the gain in the weakest-direct state is at most its direct.
         least_gain = map(min, zip(*([vec[k] - x for x in vec] for vec in vecs)))
-        rows.append(tuple(Fraction(direct - g, scale) for g in least_gain))
-    return RegularChannel(CompoundChannel(channel.K, tuple((row,) for row in rows)))
+        yield scale, [[direct - g for g in least_gain]]
 
 
 def receiver_levels(channel, r):

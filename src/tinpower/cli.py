@@ -23,6 +23,7 @@ from .channel import (
     CompoundChannel,
     TinViolation,
     _distinct,
+    counterpart_lattice,
     regular_counterpart,
     tin_optimal,
     validate,
@@ -34,7 +35,7 @@ from .errors import (
     InfeasibleTargetError,
     NonConvergenceError,
 )
-from .potential import build_full, vertex_label
+from .potential import build_full, lattice_graph, vertex_label
 from .power import (
     ALGORITHMS,
     GgpcTrace,
@@ -189,12 +190,12 @@ def _cycle_data(cycle, length) -> dict:
     }
 
 
-def _dump_graphs(channel, d, users=None) -> None:
-    """The reduced and full graphs at the target ``d``: those of the
-    channel's regular counterpart and of the channel itself, each user ``i``
-    printed as ``users[i]`` when given."""
+def _dump_graphs(reduced, channel, d, users=None) -> None:
+    """The reduced graph ``reduced``, that of the channel's regular
+    counterpart at the target ``d``, and the channel's full graph there,
+    each user ``i`` printed as ``users[i]`` when given."""
     print("# reduced potential graph", file=sys.stderr)
-    print(build_full(regular_counterpart(channel), d).dump(users), file=sys.stderr)
+    print(reduced.dump(users), file=sys.stderr)
     print("# full potential graph", file=sys.stderr)
     print(build_full(channel, d).dump(users), file=sys.stderr)
 
@@ -270,7 +271,7 @@ def cmd_feasible(args) -> int:
     verdict = decide(cf.channel, d)
     sp, violated = verdict.sp, verdict.bound
     if args.debug_graph:
-        _dump_graphs(cf.channel, d)
+        _dump_graphs(verdict.graph, cf.channel, d)
     data = {
         "command": "feasible",
         "channel": cf.name,
@@ -422,7 +423,8 @@ def cmd_power(args) -> int:
     if args.debug_graph and any(d):
         # the graphs the control decides on: the active users' subnetwork
         active, sub, d_sub = active_subnetwork(cf.channel, d)
-        _dump_graphs(sub, d_sub, active)
+        reduced = lattice_graph(*counterpart_lattice(sub), (1,) * len(active), d_sub)
+        _dump_graphs(reduced, sub, d_sub, active)
     try:
         sol = solve_power(cf.channel, d, args.alg)
     except InfeasibleTargetError as exc:

@@ -5,10 +5,10 @@ directed circuit of its graph has non-negative length. Bellman-Ford both
 decides this and yields the shortest-path lengths from the source vertex,
 which double as the canonical power initialization.
 
-A graph's edge lengths are ints on one lcm lattice (:func:`lcm_scaled`),
-written with its ``scale``: :func:`build_full` scales the target and the
-states once, Bellman-Ford adds and compares the ints as they are, and only
-the reported lengths are read back as rationals.
+A graph's edge lengths are ints on one lcm lattice, written with its
+``scale``: :func:`lattice_graph` writes them from strength rows already held
+as ints and scales only the target, Bellman-Ford adds and compares the ints
+as they are, and only the reported lengths are read back as rationals.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .channel import receiver_levels
 from .errors import CertificateError
-from .rationals import gdof_tuple, lcm_scaled, render_rational
+from .rationals import gdof_tuple, lcm_scaled, one_lattice, render_rational
 
 U = "u"
 Vertex = Union[str, tuple[int, int]]
@@ -67,23 +68,32 @@ class ShortestPathResult:
 
 def build_full(channel, d) -> PotentialGraph:
     """Graph over every (user, state) pair. Cost grows with state counts, so
-    production paths build it on the regular counterpart (one state per
-    user): the reduced graph, whose feasibility and shortest-path lengths
-    from ``u`` agree exactly with the full graph's. The target and every
-    state vector are scaled once, onto one lcm lattice (:func:`lcm_scaled`),
-    and the lengths are written as ints on it."""
-    target = gdof_tuple(d, channel.K)
-    K, receivers = channel.K, channel.receivers
-    pairs = [(k, l) for k in range(K) for l in range(len(receivers[k]))]
-    scale, (need, *vecs) = lcm_scaled(
-        target, *(vec for states in receivers for vec in states))
-    top = [vec[k] - need[k] for (k, _), vec in zip(pairs, vecs)]  # direct - d_k
+    decisions write it for the regular counterpart (one state per user):
+    the reduced graph, whose feasibility and shortest-path lengths from
+    ``u`` agree exactly with the full graph's. The states are the levels at
+    full power (:func:`receiver_levels`), put on one lattice."""
+    return lattice_graph(*one_lattice(receiver_levels(channel, [0] * channel.K)),
+                         channel.state_counts, gdof_tuple(d, channel.K))
+
+
+def lattice_graph(scale, rows, counts, d) -> PotentialGraph:
+    """The graph at the GDoF tuple ``d`` of ``counts[k]`` states per user k,
+    whose strength vectors are ``rows``, as ints on the lattice ``scale``.
+    Only ``d`` is scaled, onto the lcm of ``scale`` and its denominators
+    (:func:`lcm_scaled`), and the lengths are written as ints on it."""
+    K = len(counts)
+    lattice, (need,) = lcm_scaled(d, scale=scale)
+    if lattice != scale:
+        up = lattice // scale
+        rows = [[x * up for x in row] for row in rows]
+    pairs = [(k, l) for k in range(K) for l in range(counts[k])]
+    top = [vec[k] - need[k] for (k, _), vec in zip(pairs, rows)]  # direct - d_k
     edges = [(v, w, 0) for v in pairs for w in pairs if w[0] == v[0] and w != v]
-    edges += [(v, w, x - vec[w[0]]) for v, vec, x in zip(pairs, vecs, top)
+    edges += [(v, w, x - vec[w[0]]) for v, vec, x in zip(pairs, rows, top)
               for w in pairs if w[0] != v[0]]
     edges += [(v, U, x) for v, x in zip(pairs, top)]
     edges += [(U, v, 0) for v in pairs]
-    return PotentialGraph(K, (*pairs, U), tuple(edges), scale)
+    return PotentialGraph(K, (*pairs, U), tuple(edges), lattice)
 
 
 def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:

@@ -9,9 +9,10 @@ optimum is a short sequence of these decisions; the sum optimum is one
 min-cost circulation on the d = 0 graph, the dual of the LP over its
 potentials. The enumerated list serves only the export, which takes it one
 user set at a time: one depth-first search per user set carries each
-sequence's bound as an int prefix sum on the counterpart's lcm lattice, and
-only the bounds kept after merging coinciding ones become rationals. Every
-result is an exact rational.
+sequence's bound as an int prefix sum on the lattice of the counterpart's
+ints (:func:`counterpart_lattice`, which every decision reads too), and only
+the bounds kept after merging coinciding ones become rationals. Every result
+is an exact rational.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .channel import CompoundChannel, regular_counterpart
+from .channel import CompoundChannel, counterpart_lattice
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
-from .potential import U, PotentialGraph, ShortestPathResult, build_full, shortest_paths
-from .rationals import gdof_tuple, lcm_scaled, render_rational
+from .potential import U, PotentialGraph, ShortestPathResult, lattice_graph, shortest_paths
+from .rationals import gdof_tuple, render_rational
 
 # Cyclic-sequence counts grow super-exponentially; beyond this only the graph
 # route (membership, Pareto, the optima) answers.
@@ -101,31 +102,30 @@ class RegionConstraints:
         return "\n".join(self.export_lines())
 
 
-def cycle_bound(a, cycle) -> Constraint:
-    """The region bound of one cyclic sequence on the counterpart matrix
-    ``a``; a single user gives that user's per-user bound."""
+def cycle_bound(cp, cycle) -> Constraint:
+    """The region bound of one cyclic sequence on the counterpart ``cp``
+    (:func:`counterpart_lattice`), its rhs summed as ints; a single user
+    gives that user's per-user bound."""
+    scale, a = cp
     m = len(cycle)
     if m == 1:
-        return Constraint(tuple(cycle), a[cycle[0]][cycle[0]])
-    rhs = sum(
-        (a[cycle[i]][cycle[i]] - a[cycle[i]][cycle[(i + 1) % m]] for i in range(m)),
-        start=ZERO)
-    return Constraint(tuple(sorted(cycle)), rhs, cycle=tuple(cycle))
+        return Constraint(tuple(cycle), Fraction(a[cycle[0]][cycle[0]], scale))
+    rhs = sum(a[cycle[i]][cycle[i]] - a[cycle[i]][cycle[(i + 1) % m]] for i in range(m))
+    return Constraint(tuple(sorted(cycle)), Fraction(rhs, scale), cycle=tuple(cycle))
 
 
-def _cycle_bounds(a) -> Iterator[Constraint]:
-    """Every per-user and cyclic-sequence bound of the counterpart matrix
-    ``a``, exactly coinciding ones merged, in the order of
-    :class:`RegionConstraints`, one user set at a time.
+def _cycle_bounds(cp) -> Iterator[Constraint]:
+    """Every per-user and cyclic-sequence bound of the counterpart ``cp``
+    (:func:`counterpart_lattice`), exactly coinciding ones merged, in the
+    order of :class:`RegionConstraints`, one user set at a time.
 
     The per-user bounds come first; then, by length and in
     :func:`itertools.combinations` order, each user set's sequences, found
     by :func:`_set_cycles` and sorted by rhs. Only the gains ``a_ii - a_ij``
-    scaled onto the lcm lattice of ``a`` (:func:`lcm_scaled`) and one set's
-    sequences are held at a time.
+    on the counterpart's lattice and one set's sequences are held at a time.
     """
-    K = len(a)
-    scale, rows = lcm_scaled(*a)
+    scale, rows = cp
+    K = len(rows)
     gain = [[row[i] - x for x in row] for i, row in enumerate(rows)]
     for i in range(K):
         yield Constraint((i,), Fraction(rows[i][i], scale))
@@ -179,7 +179,7 @@ def bounds(channel: CompoundChannel) -> Iterator[Constraint]:
     if channel.K > CYCLE_GUARD_K:
         raise GuardExceededError(
             f"cycle enumeration guarded at K <= {CYCLE_GUARD_K} (got {channel.K})")
-    return _cycle_bounds(regular_counterpart(channel).matrix)
+    return _cycle_bounds(counterpart_lattice(channel))
 
 
 def region_constraints(channel: CompoundChannel) -> RegionConstraints:
@@ -191,9 +191,9 @@ def region_constraints(channel: CompoundChannel) -> RegionConstraints:
     return RegionConstraints(channel.K, tuple(bounds(channel)))
 
 
-def circuit_bound(a, circuit) -> Constraint:
+def circuit_bound(cp, circuit) -> Constraint:
     """The region bound that a negative circuit of the potential graph of
-    the counterpart matrix ``a`` shows its target to violate.
+    the counterpart ``cp`` shows its target to violate.
 
     The circuit's users, in circuit order and rotated to start at the
     smallest, form that bound's cyclic sequence: a circuit over users alone
@@ -204,7 +204,7 @@ def circuit_bound(a, circuit) -> Constraint:
     """
     users = [v[0] for v in circuit if v != U]
     first = users.index(min(users))
-    return cycle_bound(a, users[first:] + users[:first])
+    return cycle_bound(cp, users[first:] + users[:first])
 
 
 @dataclass(frozen=True)
@@ -240,16 +240,21 @@ class Verdict:
 
 def decide(channel, d) -> Verdict:
     """Is ``d`` in the region with every user active? The one decision route:
-    the counterpart is built once and serves the graph and the bound, which
-    ``d`` must strictly violate (else :class:`CertificateError`)."""
-    d = gdof_tuple(d, channel.K)
-    cp = regular_counterpart(channel)
-    graph = build_full(cp, d)
+    the counterpart is computed once (:func:`counterpart_lattice`) and serves
+    the graph and the bound, which ``d`` must strictly violate (else
+    :class:`CertificateError`)."""
+    return _decide(counterpart_lattice(channel), gdof_tuple(d, channel.K))
+
+
+def _decide(cp, d) -> Verdict:
+    """:func:`decide` on the counterpart ``cp`` at the GDoF tuple ``d``."""
+    scale, rows = cp
+    graph = lattice_graph(scale, rows, (1,) * len(rows), d)
     sp = shortest_paths(graph)
-    bound = None if sp.feasible else circuit_bound(cp.matrix, sp.negative_cycle)
+    bound = None if sp.feasible else circuit_bound(cp, sp.negative_cycle)
     if bound is not None and bound.holds(d):
         raise CertificateError(
-            f"the target satisfies the circuit's bound {bound.export_line(cp.K)}")
+            f"the target satisfies the circuit's bound {bound.export_line(len(rows))}")
     return Verdict(graph, sp, bound)
 
 
@@ -383,18 +388,18 @@ def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
 
 def symmetric_gdof(channel) -> Fraction:
     """Largest t with (t, ..., t) in the region: Dinkelbach's iteration on
-    :func:`decide`, every decision on the one counterpart built here. From
+    :func:`decide`, every decision on the one counterpart computed here. From
     its least direct strength, each "no" names a bound that (t, ..., t)
     violates, and t drops to that bound's rhs per user, strictly below the
     last t. The first "yes" is checked by its reduced edges, and the bound
     that set t must be tight at it, so no larger t is in the region (else
     :class:`CertificateError`). A t below 0 means the region is empty."""
-    cp = regular_counterpart(channel)
-    K, a = cp.K, cp.matrix
+    cp = counterpart_lattice(channel)
+    (scale, a), K = cp, channel.K
     k = min(range(K), key=lambda i: a[i][i])
-    t, bound = a[k][k], cycle_bound(a, (k,))
+    t, bound = Fraction(a[k][k], scale), cycle_bound(cp, (k,))
     while t >= 0:
-        verdict = decide(cp, (t,) * K)
+        verdict = _decide(cp, (t,) * K)
         if verdict.sp.feasible:
             verdict.reduced_edges()
             if bound.slack((t,) * K) != 0:

@@ -49,7 +49,7 @@ import numpy as np
 
 import tinpower as tp
 from tinpower.cli import EXIT_OK, Report, _constraint_data, _render_vec, load_channel_file
-from tinpower.region import EMPTY_REGION, Constraint, RegionConstraints, cycle_bound
+from tinpower.region import EMPTY_REGION, Constraint, RegionConstraints
 
 F = Fraction
 
@@ -244,14 +244,28 @@ def enumerate_cycles(K: int) -> list[tuple[int, ...]]:
     return out
 
 
+def cycle_bound_fractions(a, cycle) -> Constraint:
+    """``tinpower.region.cycle_bound`` on the counterpart matrix ``a`` of
+    ``Fraction``s: the region bound of one cyclic sequence, its rhs summed
+    as rationals; a single user gives that user's per-user bound."""
+    m = len(cycle)
+    if m == 1:
+        return Constraint(tuple(cycle), a[cycle[0]][cycle[0]])
+    rhs = sum(
+        (a[cycle[i]][cycle[i]] - a[cycle[i]][cycle[(i + 1) % m]] for i in range(m)),
+        start=F(0))
+    return Constraint(tuple(sorted(cycle)), rhs, cycle=tuple(cycle))
+
+
 def region_constraints_fractions(channel) -> RegionConstraints:
     """:func:`tinpower.region_constraints` with each bound summed on its own:
-    the per-user bounds, then one :func:`cycle_bound` per enumerated cycle,
-    merged on (users, rhs) with the first bound of each kept."""
+    the per-user bounds, then one :func:`cycle_bound_fractions` per
+    enumerated cycle, merged on (users, rhs) with the first bound of each
+    kept."""
     a = tp.regular_counterpart(channel).matrix
     K = channel.K
-    raw = [cycle_bound(a, (i,)) for i in range(K)]
-    raw += [cycle_bound(a, cyc) for cyc in enumerate_cycles(K)]
+    raw = [cycle_bound_fractions(a, (i,)) for i in range(K)]
+    raw += [cycle_bound_fractions(a, cyc) for cyc in enumerate_cycles(K)]
     unique: dict[tuple[tuple[int, ...], Fraction], Constraint] = {}
     for c in raw:
         unique.setdefault((c.users, c.rhs), c)

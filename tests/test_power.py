@@ -269,7 +269,8 @@ def rational_graph(graph):
 
 
 def test_channel_layer_matches_fraction_references_seeded():
-    # the counterpart, the full graph's edge lengths and the per-state
+    # the counterpart, the full graph's edge lengths, the reduced graph that
+    # `decide` writes from the counterpart's ints and the per-state
     # achieved GDoF run on each receiver's own lcm lattice; they must equal
     # their Fraction definitions on decimal grids (K 1-40, 1-3 states), on
     # prime denominators, and under allocations with negative entries, some
@@ -290,6 +291,8 @@ def test_channel_layer_matches_fraction_references_seeded():
             full_graph_fractions(ch, d))
         counterpart = tp.CompoundChannel(K, tuple((row,) for row in matrix))
         assert rational_graph(tp.build_full(cp, d)) == rational_graph(
+            full_graph_fractions(counterpart, d))
+        assert rational_graph(tp.decide(ch, d).graph) == rational_graph(
             full_graph_fractions(counterpart, d))
         for r in ([F(0)] * K, [-grid_value(rng, F(3), F(1, 3)) for _ in range(K)]):
             assert tp.achieved_gdof(ch, r) == achieved_gdof_fractions(ch, r)

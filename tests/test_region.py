@@ -19,6 +19,7 @@ from fixtures import (
     single,
 )
 from oracles import (
+    cycle_bound_fractions,
     enumerate_cycles,
     grid_member_polyhedral,
     region_constraints_fractions,
@@ -27,7 +28,6 @@ from oracles import (
     sum_optimal,
     symmetric_gdof_by_bounds,
 )
-from tinpower.region import cycle_bound
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import random_channel  # noqa: E402
@@ -290,24 +290,27 @@ def test_a_counterpart_is_its_own(comp2):
 
 
 def test_symmetric_gdof_builds_one_counterpart(monkeypatch):
-    # every decision of the Dinkelbach loop runs on the counterpart built
-    # once up front; a channel is checked when it is built, so one check
+    # every decision of the Dinkelbach loop runs on the counterpart computed
+    # once up front, as ints: no channel is built, so none is checked
     import tinpower.channel as channel
     import tinpower.region as region
 
     ch = random_tin_optimal(random.Random(5), K=6, max_states=2)
     assert not tp.is_regular(ch)
-    checked, decided = [], []
-    real_validate, real_decide = channel.validate, region.decide
+    checked, built, decided = [], [], []
+    real_validate, real_decide = channel.validate, region._decide
+    real_counterpart = region.counterpart_lattice
     monkeypatch.setattr(channel, "validate",
                         lambda c: checked.append(c) or real_validate(c))
-    monkeypatch.setattr(region, "decide",
-                        lambda c, d: decided.append(c) or real_decide(c, d))
+    monkeypatch.setattr(region, "counterpart_lattice",
+                        lambda c: built.append(c) or real_counterpart(c))
+    monkeypatch.setattr(region, "_decide",
+                        lambda cp, d: decided.append(cp) or real_decide(cp, d))
     t = tp.symmetric_gdof(ch)
     monkeypatch.undo()
     assert t == symmetric_gdof_by_bounds(ch)
-    assert len(decided) >= 2
-    assert len(checked) == 1 and checked[0] == tp.regular_counterpart(ch).channel
+    assert len(decided) >= 2 and len({id(cp) for cp in decided}) == 1
+    assert built == [ch] and checked == []
 
 
 def realizations(channel) -> list[tp.RegularChannel]:
@@ -330,8 +333,8 @@ def test_counterpart_region_is_the_realizations_intersection_seeded():
         compound += len(reals) > 1
         a = tp.regular_counterpart(ch).matrix
         for cycle in [(k,) for k in range(ch.K)] + enumerate_cycles(ch.K):
-            assert cycle_bound(a, cycle).rhs == min(
-                cycle_bound(r.matrix, cycle).rhs for r in reals)
+            assert cycle_bound_fractions(a, cycle).rhs == min(
+                cycle_bound_fractions(r.matrix, cycle).rhs for r in reals)
         for _ in range(5):
             d = [grid_value(rng, F("0.5")) for _ in range(ch.K)]
             feasible = tp.decide(ch, d).sp.feasible

@@ -42,13 +42,25 @@ def test_lattices_are_found_where_rationals_are_scaled():
     # a potential graph carries its lattice, so Bellman-Ford
     # (`shortest_paths`), the certificates (`Verdict`, `improvable_users`),
     # `decide`, the controls (`_gsfpc`, `_ggpc`) and the sum optimum's
-    # circulation (`sum_gdof`) read the graph's `scale` and never rescale
+    # circulation (`sum_gdof`) read the graph's `scale` and never rescale;
+    # the counterpart and the full graph's states are found on each
+    # receiver's lattice, and a graph writer scales only the target
     callers = {f"{module}.{scope}" for module, tree in MODULES.items()
                for scope in _callers(tree, "lcm_scaled")}
     assert sorted(callers) == [
-        "channel.receiver_levels", "channel.regular_counterpart",
-        "potential.build_full", "power.oracle_globally_optimal",
-        "region._cycle_bounds"]
+        "channel._counterpart_rows", "channel.receiver_levels",
+        "potential.lattice_graph", "power.oracle_globally_optimal"]
+
+
+def test_decisions_read_the_int_counterpart():
+    # the decisions and the symmetric optimum build no `Fraction`
+    # counterpart and find no lattice: they read `counterpart_lattice`,
+    # computed once per call
+    for name in ("decide", "_decide", "symmetric_gdof"):
+        for callee in ("regular_counterpart", "lcm_scaled"):
+            assert name not in _callers(MODULES["region"], callee)
+    for name in ("decide", "symmetric_gdof"):
+        assert name in _callers(MODULES["region"], "counterpart_lattice")
 
 
 def test_controls_read_only_the_decision_graph():
