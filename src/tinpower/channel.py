@@ -8,9 +8,8 @@ and every operation here is pure, so concurrent use needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ChannelValidationError
 from .rationals import (
@@ -25,31 +24,38 @@ StateVector = tuple[Fraction, ...]
 StateSet = tuple[StateVector, ...]
 
 
-@dataclass(frozen=True)
-class CompoundChannel:
+class _ChannelFields(NamedTuple):
+    K: int
+    receivers: tuple[StateSet, ...]
+
+
+class CompoundChannel(_ChannelFields):
     """K-user channel where each receiver has a finite set of possible states.
 
     ``receivers[k][l][i]`` is the strength level of the link from transmitter
     ``i`` to receiver ``k`` in state ``l`` (all indices 0-based). Building one
     checks it (:func:`validate`), so every channel a function is given has
-    passed that check once.
+    passed that check once; ``_make`` and ``_replace`` build through the
+    check too.
     """
 
-    K: int
-    receivers: tuple[StateSet, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        validate(self)
+    def __new__(cls, K, receivers) -> "CompoundChannel":
+        channel = super().__new__(cls, K, receivers)
+        validate(channel)
+        return channel
+
+    @classmethod
+    def _make(cls, iterable) -> "CompoundChannel":
+        return cls(*iterable)
 
     @classmethod
     def _unchecked(cls, K, receivers) -> "CompoundChannel":
         """A channel built without the check, so that a file's errors can be
         reported rather than raised (``load_channel_file(...,
         validate_channel=False)``, the ``validate`` command)."""
-        channel = object.__new__(cls)
-        object.__setattr__(channel, "K", K)
-        object.__setattr__(channel, "receivers", receivers)
-        return channel
+        return tuple.__new__(cls, (K, receivers))
 
     @classmethod
     def from_lists(cls, receivers) -> "CompoundChannel":
@@ -82,8 +88,11 @@ def _distinct(states) -> StateSet:
     return tuple(first.values())
 
 
-@dataclass(frozen=True)
-class RegularChannel:
+class _RegularFields(NamedTuple):
+    channel: CompoundChannel
+
+
+class RegularChannel(_RegularFields):
     """Single-state channel: a thin view exposing the K x K strength matrix.
 
     It reads as the channel it wraps, so it can be passed wherever a
@@ -91,11 +100,16 @@ class RegularChannel:
     per receiver, which :attr:`matrix` and :func:`regular_counterpart` read.
     """
 
-    channel: CompoundChannel
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_regular(self.channel):
+    def __new__(cls, channel) -> "RegularChannel":
+        if not is_regular(channel):
             raise ChannelValidationError("a regular channel has one state per receiver")
+        return super().__new__(cls, channel)
+
+    @classmethod
+    def _make(cls, iterable) -> "RegularChannel":
+        return cls(*iterable)
 
     @classmethod
     def from_matrix(cls, matrix) -> "RegularChannel":
@@ -154,8 +168,7 @@ def is_regular(channel: CompoundChannel) -> bool:
     return all(n == 1 for n in channel.state_counts)
 
 
-@dataclass(frozen=True)
-class TinViolation:
+class TinViolation(NamedTuple):
     """Witness of a failed weak-interference condition (0-based indices).
 
     For user ``user`` in state ``state``: the direct link is smaller than the

@@ -15,15 +15,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, starmap
+from typing import NamedTuple
 
 from .channel import (
     CompoundChannel,
     TinViolation,
     _distinct,
-    counterpart_lattice,
     regular_counterpart,
     tin_optimal,
     validate,
@@ -35,7 +34,7 @@ from .errors import (
     InfeasibleTargetError,
     NonConvergenceError,
 )
-from .potential import build_full, lattice_graph, vertex_label
+from .potential import build_full, vertex_label
 from .power import (
     ALGORITHMS,
     GgpcTrace,
@@ -69,17 +68,12 @@ class CliInputError(Exception):
     """File, schema or flag problem; maps to exit code 2."""
 
 
-@dataclass
-class Report:
-    data: dict
-    text: str
-
-    def emit(self, as_json: bool) -> None:
-        print(json.dumps(self.data, indent=2) if as_json else self.text)
+def _emit(data: dict, text: str, as_json: bool) -> None:
+    """Print a report: ``data`` as JSON with --json, else ``text``."""
+    print(json.dumps(data, indent=2) if as_json else text)
 
 
-@dataclass
-class ChannelFile:
+class ChannelFile(NamedTuple):
     channel: CompoundChannel
     name: str
     targets: list[tuple[Fraction, ...]]
@@ -205,7 +199,7 @@ def cmd_validate(args) -> int:
     try:
         validate(cf.channel)
     except ChannelValidationError as exc:
-        Report(
+        _emit(
             data={
                 "command": "validate",
                 "channel": cf.name,
@@ -217,9 +211,9 @@ def cmd_validate(args) -> int:
                 },
             },
             text=f"invalid channel: {exc}",
-        ).emit(args.json)
+            as_json=args.json)
         return EXIT_NEGATIVE
-    Report(
+    _emit(
         data={
             "command": "validate",
             "channel": cf.name,
@@ -229,7 +223,7 @@ def cmd_validate(args) -> int:
         },
         text=(f"channel OK: K={cf.channel.K}, "
               f"states per receiver {list(cf.channel.state_counts)}"),
-    ).emit(args.json)
+        as_json=args.json)
     return EXIT_OK
 
 
@@ -246,7 +240,7 @@ def cmd_tin_check(args) -> int:
             f"direct link is smaller than interference caused at user "
             f"{witness.in_user + 1} (state {witness.in_state + 1}) plus "
             f"interference received from user {witness.out_user + 1}")
-    Report(data, text).emit(args.json)
+    _emit(data, text, args.json)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -261,7 +255,7 @@ def cmd_counterpart(args) -> int:
     }
     lines = [f"counterpart matrix (row k = receiver k):"]
     lines += ["  [" + ", ".join(_render_vec(row)) + "]" for row in cp.matrix]
-    Report(doc, "\n".join(lines)).emit(args.json)
+    _emit(doc, "\n".join(lines), args.json)
     return EXIT_OK
 
 
@@ -293,7 +287,7 @@ def cmd_feasible(args) -> int:
             f"violated {line}; "
             f"negative circuit {' -> '.join(vertex_label(v) for v in sp.negative_cycle)} "
             f"of length {render_rational(sp.cycle_length)}")
-    Report(data, text).emit(args.json)
+    _emit(data, text, args.json)
     return EXIT_OK if sp.feasible else EXIT_NEGATIVE
 
 
@@ -376,7 +370,7 @@ def cmd_pareto(args) -> int:
         line = verdict.bound.export_line(K)
         data["pareto"] = False
         data["violated_constraint"] = _constraint_data(verdict.bound, line)
-        Report(data, f"not in the region: violates {line}").emit(args.json)
+        _emit(data, f"not in the region: violates {line}", args.json)
         return EXIT_NEGATIVE
     certify_allocation(cf.channel, verdict.sp.l_dst, d)
     improvable = improvable_users(verdict)
@@ -388,7 +382,7 @@ def cmd_pareto(args) -> int:
         data["improvable_users"] = _users(improvable)
         text = (f"member: yes; Pareto-optimal: no — users "
                 f"{_users(improvable)} can still be increased")
-    Report(data, text).emit(args.json)
+    _emit(data, text, args.json)
     return EXIT_OK if is_pareto else EXIT_NEGATIVE
 
 
@@ -423,8 +417,7 @@ def cmd_power(args) -> int:
     if args.debug_graph and any(d):
         # the graphs the control decides on: the active users' subnetwork
         active, sub, d_sub = active_subnetwork(cf.channel, d)
-        reduced = lattice_graph(*counterpart_lattice(sub), (1,) * len(active), d_sub)
-        _dump_graphs(reduced, sub, d_sub, active)
+        _dump_graphs(decide(sub, d_sub).graph, sub, d_sub, active)
     try:
         sol = solve_power(cf.channel, d, args.alg)
     except InfeasibleTargetError as exc:
@@ -438,7 +431,7 @@ def cmd_power(args) -> int:
                 exc.bound, exc.bound.export_line(cf.channel.K)),
             "negative_cycle": _cycle_data(exc.cycle, exc.cycle_length),
         }
-        Report(data, f"infeasible target: {exc}").emit(args.json)
+        _emit(data, f"infeasible target: {exc}", args.json)
         return EXIT_NEGATIVE
     rendered = [
         "silent" if x is None else render_rational(x) for x in sol.allocation]
@@ -460,7 +453,7 @@ def cmd_power(args) -> int:
         lines.append("note: multi-state input solved through its regular counterpart")
     if sol.silent:
         lines.append(f"silent users: {_users(sol.silent)}")
-    Report(data, "\n".join(lines)).emit(args.json)
+    _emit(data, "\n".join(lines), args.json)
     return EXIT_OK
 
 

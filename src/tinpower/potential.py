@@ -13,9 +13,8 @@ as they are, and only the reported lengths are read back as rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .channel import receiver_levels
 from .errors import CertificateError
@@ -30,8 +29,7 @@ def vertex_label(v: Vertex) -> str:
     return v if v == U else f"v{v[0] + 1}[{v[1] + 1}]"
 
 
-@dataclass(frozen=True)
-class PotentialGraph:
+class PotentialGraph(NamedTuple):
     """Complete digraph over per-(user, state) vertices plus the source ``u``.
 
     Edge lengths: zero between states of one user, (direct - cross) - d_k
@@ -55,8 +53,7 @@ class PotentialGraph:
             f"{render_rational(Fraction(w, self.scale))}" for s, t, w in self.edges)
 
 
-@dataclass(frozen=True)
-class ShortestPathResult:
+class ShortestPathResult(NamedTuple):
     """Either per-user shortest-path lengths from ``u`` (all <= 0), or a
     negative-circuit witness whose recomputed length is strictly negative."""
 

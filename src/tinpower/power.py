@@ -18,8 +18,8 @@ definition, which certificates check independently of the counterpart.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 # numpy serves only elementwise int work here, never BLAS. Its OpenBLAS would
 # start a worker pool at import that spins for a while on the other cores, so
@@ -75,8 +75,7 @@ def certify_allocation(channel, r, d) -> tuple[Fraction, ...]:
     return achieved
 
 
-@dataclass(frozen=True)
-class GsfpcTrace:
+class GsfpcTrace(NamedTuple):
     """Fixed-point iteration history: componentwise non-increasing iterates;
     when converged the last two coincide."""
 
@@ -120,8 +119,7 @@ def _gsfpc(verdict) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
         trace=trace)
 
 
-@dataclass(frozen=True)
-class GgpcUpdate:
+class GgpcUpdate(NamedTuple):
     """One update: the uniform power drop, the users newly fixed, and the
     allocation / achieved GDoF right after."""
 
@@ -131,8 +129,7 @@ class GgpcUpdate:
     achieved: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class GgpcTrace:
+class GgpcTrace(NamedTuple):
     r0: tuple[Fraction, ...]
     updates: tuple[GgpcUpdate, ...]
 
@@ -250,8 +247,7 @@ def oracle_globally_optimal(channel, r, d, grid_step, floor) -> bool:
     return not bool(np.any(feasible & undercut))
 
 
-@dataclass(frozen=True)
-class PowerSolution:
+class PowerSolution(NamedTuple):
     """Allocation with possibly deactivated users.
 
     ``allocation[i]`` is None for users switched off (zero target); they are

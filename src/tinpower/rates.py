@@ -9,9 +9,8 @@ levels whose bit count log2(P) * level leaves the float range are refused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .channel import receiver_levels
 from .rationals import power_exponents
@@ -56,8 +55,7 @@ def _state_rate(row, k, log2p: float) -> float:
     return _log2_1p_exp2(sinr_bits)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Rates in bits per channel use at one nominal power.
 
     ``total_power`` is the summed linear transmit power (each user spends at

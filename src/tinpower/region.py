@@ -18,9 +18,9 @@ is an exact rational.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .channel import CompoundChannel, counterpart_lattice
 from .errors import CertificateError, EmptyRegionError, GuardExceededError
@@ -36,8 +36,7 @@ ZERO = Fraction(0)
 EMPTY_REGION = "polyhedral region is empty (a sum bound is negative)"
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One inequality: the sum of d over ``users`` is bounded by ``rhs``.
 
     ``cycle`` records the generating cyclic sequence (None for a per-user
@@ -85,8 +84,7 @@ def bound_lines(K: int, constraints: Iterable[Constraint],
         yield c, c.export_line(K, terms)
 
 
-@dataclass(frozen=True)
-class RegionConstraints:
+class RegionConstraints(NamedTuple):
     """Deduplicated, deterministically ordered inequality list."""
 
     K: int
@@ -207,8 +205,7 @@ def circuit_bound(cp, circuit) -> Constraint:
     return cycle_bound(cp, users[first:] + users[:first])
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Bellman-Ford's answer on the regular counterpart's potential graph,
     whose lengths are ints on its ``scale``; ``sp`` reports rationals. For a
     "no", ``bound`` is the bound its circuit names (:func:`circuit_bound`)."""

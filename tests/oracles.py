@@ -48,7 +48,7 @@ from math import lcm
 import numpy as np
 
 import tinpower as tp
-from tinpower.cli import EXIT_OK, Report, _constraint_data, _render_vec, load_channel_file
+from tinpower.cli import EXIT_OK, _constraint_data, _emit, _render_vec, load_channel_file
 from tinpower.region import EMPTY_REGION, Constraint, RegionConstraints
 
 F = Fraction
@@ -297,7 +297,7 @@ def cmd_region_whole(args) -> int:
     except tp.EmptyRegionError:
         data["empty"] = True
         lines.append("# region is empty")
-    Report(data, "\n".join(lines)).emit(args.json)
+    _emit(data, "\n".join(lines), args.json)
     return EXIT_OK
 
 

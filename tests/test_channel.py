@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from types import ModuleType
 
@@ -57,8 +56,10 @@ def test_validate_empty_state_set():
     (lambda valid: tp.CompoundChannel(2, valid.receivers[:1] + (
         ((F(0), F(1)), (F(1, 2), F(-1, 3))),)),
      1, 1, "receiver 1 state 1 has negative strength -1/3"),
-    (lambda valid: replace(valid, K=3), None, None, "expected 3 receivers, got 2"),
-], ids=["negative-entry", "replaced-K"])
+    (lambda valid: valid._replace(K=3), None, None, "expected 3 receivers, got 2"),
+    (lambda valid: tp.CompoundChannel._make((3, valid.receivers)), None, None,
+     "expected 3 receivers, got 2"),
+], ids=["negative-entry", "replaced-K", "made-K"])
 def test_channels_are_checked_when_built(build, receiver, state, message):
     valid = tp.CompoundChannel.from_lists([[["1", "0.5"]], [["0.5", "1"]]])
     with pytest.raises(tp.ChannelValidationError) as err:
@@ -125,9 +126,12 @@ def test_counterpart_identity_on_regular(sym4):
 
 def test_regular_channel_refuses_a_multi_state_channel(comp2):
     # the wrapper's matrix reads state 0 and regular_counterpart returns it
-    # as it is, so a multi-state channel must not get in
-    with pytest.raises(tp.ChannelValidationError, match="one state per receiver"):
-        tp.RegularChannel(comp2)
+    # as it is, so a multi-state channel must not get in, by `_make` and
+    # `_replace` neither
+    for build in (tp.RegularChannel, lambda channel: tp.RegularChannel._make((channel,)),
+                  lambda channel: tp.regular_counterpart(channel)._replace(channel=channel)):
+        with pytest.raises(tp.ChannelValidationError, match="one state per receiver"):
+            build(comp2)
 
 
 def test_counterpart_mixes_states():

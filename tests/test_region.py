@@ -1,6 +1,5 @@
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations, product
 from pathlib import Path
@@ -263,8 +262,8 @@ def test_symmetric_gdof_checks_its_last_bound(asym3, monkeypatch):
     import tinpower.region as region
 
     real = region.cycle_bound
-    monkeypatch.setattr(region, "cycle_bound", lambda a, cycle: replace(
-        real(a, cycle), rhs=real(a, cycle).rhs + 1))
+    monkeypatch.setattr(region, "cycle_bound", lambda a, cycle: real(
+        a, cycle)._replace(rhs=real(a, cycle).rhs + 1))
     with pytest.raises(tp.CertificateError, match="is not tight at 1"):
         tp.symmetric_gdof(asym3)
 
@@ -279,7 +278,7 @@ def test_reduced_edges_are_ints_on_the_graph_lattice(asym3):
         (s, t, (F(w, graph.scale) + level[s] - level[t]) * graph.scale)
         for s, t, w in graph.edges]
     assert all(type(x) is int for *_, x in verdict.reduced_edges())
-    bogus = replace(verdict, sp=replace(verdict.sp, l_dst=(F(-1, 3 * graph.scale), 0, 0)))
+    bogus = verdict._replace(sp=verdict.sp._replace(l_dst=(F(-1, 3 * graph.scale), 0, 0)))
     with pytest.raises(tp.CertificateError, match="off the graph's lattice"):
         bogus.reduced_edges()
 
