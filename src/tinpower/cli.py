@@ -64,13 +64,18 @@ EXIT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a write to a closed pipe
 STREAM_CHUNK = 64
 
 
-class CliInputError(Exception):
-    """File, schema or flag problem; maps to exit code 2."""
+def _head(args, cf, d=None) -> dict:
+    """The keys every report starts with: the command, the channel's name
+    and, when given, the target ``d``."""
+    head = {"command": args.command, "channel": cf.name}
+    if d is not None:
+        head["target"] = _render_vec(d)
+    return head
 
 
-def _emit(data: dict, text: str, as_json: bool) -> None:
+def _emit(args, data: dict, text: str) -> None:
     """Print a report: ``data`` as JSON with --json, else ``text``."""
-    print(json.dumps(data, indent=2) if as_json else text)
+    print(json.dumps(data, indent=2) if args.json else text)
 
 
 class ChannelFile(NamedTuple):
@@ -83,29 +88,29 @@ def _parse_channel_doc(doc) -> tuple[int, tuple]:
     """The channel fields of a parsed document: K and the receivers' state
     sets, duplicates dropped."""
     if not isinstance(doc, dict):
-        raise CliInputError("channel document must be a JSON object")
+        raise ValueError("channel document must be a JSON object")
     for key in ("K", "receivers"):
         if key not in doc:
-            raise CliInputError(f'channel document is missing "{key}"')
+            raise ValueError(f'channel document is missing "{key}"')
     if isinstance(doc["K"], bool) or not isinstance(doc["K"], int):
-        raise CliInputError('"K" must be an integer')
+        raise ValueError('"K" must be an integer')
     if not isinstance(doc["receivers"], list):
-        raise CliInputError('"receivers" must be an array')
+        raise ValueError('"receivers" must be an array')
     parse = rational_parser()
     receivers = []
     for idx, rx in enumerate(doc["receivers"]):
         if not isinstance(rx, dict) or "states" not in rx:
-            raise CliInputError(f'receiver {idx + 1} must be an object with "states"')
+            raise ValueError(f'receiver {idx + 1} must be an object with "states"')
         if not isinstance(rx["states"], list):
-            raise CliInputError(f'receiver {idx + 1}: "states" must be an array')
+            raise ValueError(f'receiver {idx + 1}: "states" must be an array')
         states = []
         for state in rx["states"]:
             if not isinstance(state, list):
-                raise CliInputError(f"receiver {idx + 1} has a non-array state")
+                raise ValueError(f"receiver {idx + 1} has a non-array state")
             try:
                 states.append(tuple(map(parse, state)))
             except (ValueError, TypeError) as exc:
-                raise CliInputError(f"receiver {idx + 1}: {exc}") from None
+                raise ValueError(f"receiver {idx + 1}: {exc}") from None
         receivers.append(_distinct(states))
     return doc["K"], tuple(receivers)
 
@@ -113,41 +118,42 @@ def _parse_channel_doc(doc) -> tuple[int, tuple]:
 def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFile:
     try:
         with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliInputError(
-                    f"{path}: JSON parse error at line {exc.lineno}, "
-                    f"column {exc.colno}: {exc.msg}") from None
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: JSON parse error at line {exc.lineno}, "
+            f"column {exc.colno}: {exc.msg}") from None
     except OSError as exc:
-        raise CliInputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     build = CompoundChannel if validate_channel else CompoundChannel._unchecked
     try:
         channel = build(*_parse_channel_doc(doc))
     except ChannelValidationError as exc:
-        raise CliInputError(f"{path}: invalid channel: {exc}") from None
+        raise ValueError(f"{path}: invalid channel: {exc}") from None
     raw_targets = doc.get("targets", [])
     if not isinstance(raw_targets, list):
-        raise CliInputError(f'{path}: "targets" must be an array')
+        raise ValueError(f'{path}: "targets" must be an array')
     targets = []
     for raw in raw_targets:
         if not isinstance(raw, list):
-            raise CliInputError(f"{path}: bad target {raw}: not an array")
+            raise ValueError(f"{path}: bad target {raw}: not an array")
         try:
             targets.append(gdof_tuple(raw, channel.K))
         except (ValueError, TypeError) as exc:
-            raise CliInputError(f"{path}: bad target {raw}: {exc}") from None
-    name = doc.get("name") or path
-    return ChannelFile(channel, name, targets)
+            raise ValueError(f"{path}: bad target {raw}: {exc}") from None
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f'{path}: "name" must be a string')
+    return ChannelFile(channel, name or path, targets)
 
 
 def _parse_target(args, channel) -> tuple[Fraction, ...]:
     if not args.target:
-        raise CliInputError("this command needs --target d1,d2,...")
+        raise ValueError("this command needs --target d1,d2,...")
     try:
         return gdof_tuple(args.target.split(","), channel.K)
     except ValueError as exc:
-        raise CliInputError(f"bad --target: {exc}") from None
+        raise ValueError(f"bad --target: {exc}") from None
 
 
 def _render_vec(values) -> list[str]:
@@ -199,38 +205,25 @@ def cmd_validate(args) -> int:
     try:
         validate(cf.channel)
     except ChannelValidationError as exc:
-        _emit(
-            data={
-                "command": "validate",
-                "channel": cf.name,
-                "valid": False,
-                "error": {
-                    "message": str(exc),
-                    "receiver": None if exc.receiver is None else exc.receiver + 1,
-                    "state": None if exc.state is None else exc.state + 1,
-                },
-            },
-            text=f"invalid channel: {exc}",
-            as_json=args.json)
+        error = {
+            "message": str(exc),
+            "receiver": None if exc.receiver is None else exc.receiver + 1,
+            "state": None if exc.state is None else exc.state + 1,
+        }
+        _emit(args, _head(args, cf) | {"valid": False, "error": error},
+              f"invalid channel: {exc}")
         return EXIT_NEGATIVE
-    _emit(
-        data={
-            "command": "validate",
-            "channel": cf.name,
-            "valid": True,
-            "K": cf.channel.K,
-            "states_per_receiver": list(cf.channel.state_counts),
-        },
-        text=(f"channel OK: K={cf.channel.K}, "
-              f"states per receiver {list(cf.channel.state_counts)}"),
-        as_json=args.json)
+    counts = list(cf.channel.state_counts)
+    _emit(args,
+          _head(args, cf) | {"valid": True, "K": cf.channel.K, "states_per_receiver": counts},
+          f"channel OK: K={cf.channel.K}, states per receiver {counts}")
     return EXIT_OK
 
 
 def cmd_tin_check(args) -> int:
     cf = load_channel_file(args.channel)
     ok, witness = tin_optimal(cf.channel)
-    data = {"command": "tin-check", "channel": cf.name, "tin_optimal": ok}
+    data = _head(args, cf) | {"tin_optimal": ok}
     if ok:
         text = "TIN-optimal: yes"
     else:
@@ -240,7 +233,7 @@ def cmd_tin_check(args) -> int:
             f"direct link is smaller than interference caused at user "
             f"{witness.in_user + 1} (state {witness.in_state + 1}) plus "
             f"interference received from user {witness.out_user + 1}")
-    _emit(data, text, args.json)
+    _emit(args, data, text)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -255,7 +248,7 @@ def cmd_counterpart(args) -> int:
     }
     lines = [f"counterpart matrix (row k = receiver k):"]
     lines += ["  [" + ", ".join(_render_vec(row)) + "]" for row in cp.matrix]
-    _emit(doc, "\n".join(lines), args.json)
+    _emit(args, doc, "\n".join(lines))
     return EXIT_OK
 
 
@@ -266,12 +259,7 @@ def cmd_feasible(args) -> int:
     sp, violated = verdict.sp, verdict.bound
     if args.debug_graph:
         _dump_graphs(verdict.graph, cf.channel, d)
-    data = {
-        "command": "feasible",
-        "channel": cf.name,
-        "target": _render_vec(d),
-        "feasible": sp.feasible,
-    }
+    data = _head(args, cf, d) | {"feasible": sp.feasible}
     if sp.feasible:
         certify_allocation(cf.channel, sp.l_dst, d)
         data["l_dst"] = _render_vec(sp.l_dst)
@@ -287,7 +275,7 @@ def cmd_feasible(args) -> int:
             f"violated {line}; "
             f"negative circuit {' -> '.join(vertex_label(v) for v in sp.negative_cycle)} "
             f"of length {render_rational(sp.cycle_length)}")
-    _emit(data, text, args.json)
+    _emit(args, data, text)
     return EXIT_OK if sp.feasible else EXIT_NEGATIVE
 
 
@@ -323,7 +311,7 @@ def cmd_region(args) -> int:
         return EXIT_OK
     # the head and the tail are laid out by json itself, less the braces
     # ("\n}" and "{\n") that the whole document shares
-    head = json.dumps({"command": "region", "channel": cf.name}, indent=2)
+    head = json.dumps(_head(args, cf), indent=2)
     sys.stdout.write(f'{head[:-2]},\n  "constraints": [\n')
     _stream(starmap(_bound_json, lines), ",\n")
     sys.stdout.write(f"\n  ],\n{json.dumps(tail, indent=2)[2:]}\n")
@@ -360,17 +348,12 @@ def cmd_pareto(args) -> int:
     d = _parse_target(args, cf.channel)
     K = cf.channel.K
     verdict = decide(cf.channel, d)
-    data = {
-        "command": "pareto",
-        "channel": cf.name,
-        "target": _render_vec(d),
-        "member": verdict.sp.feasible,
-    }
+    data = _head(args, cf, d) | {"member": verdict.sp.feasible}
     if not verdict.sp.feasible:
         line = verdict.bound.export_line(K)
         data["pareto"] = False
         data["violated_constraint"] = _constraint_data(verdict.bound, line)
-        _emit(data, f"not in the region: violates {line}", args.json)
+        _emit(args, data, f"not in the region: violates {line}")
         return EXIT_NEGATIVE
     certify_allocation(cf.channel, verdict.sp.l_dst, d)
     improvable = improvable_users(verdict)
@@ -382,7 +365,7 @@ def cmd_pareto(args) -> int:
         data["improvable_users"] = _users(improvable)
         text = (f"member: yes; Pareto-optimal: no — users "
                 f"{_users(improvable)} can still be increased")
-    _emit(data, text, args.json)
+    _emit(args, data, text)
     return EXIT_OK if is_pareto else EXIT_NEGATIVE
 
 
@@ -413,33 +396,27 @@ def cmd_power(args) -> int:
     cf = load_channel_file(args.channel)
     d = _parse_target(args, cf.channel)
     if not args.alg:
-        raise CliInputError(f"this command needs --alg, one of {ALGORITHMS}")
-    if args.debug_graph and any(d):
+        raise ValueError(f"this command needs --alg, one of {ALGORITHMS}")
+    if args.debug_graph and any(d) and args.alg in ALGORITHMS:
         # the graphs the control decides on: the active users' subnetwork
+        # (an unknown --alg is refused by solve_power, before any dump)
         active, sub, d_sub = active_subnetwork(cf.channel, d)
         _dump_graphs(decide(sub, d_sub).graph, sub, d_sub, active)
+    head = _head(args, cf, d) | {"algorithm": args.alg}
     try:
         sol = solve_power(cf.channel, d, args.alg)
     except InfeasibleTargetError as exc:
-        data = {
-            "command": "power",
-            "channel": cf.name,
-            "target": _render_vec(d),
-            "algorithm": args.alg,
+        data = head | {
             "feasible": False,
             "violated_constraint": _constraint_data(
                 exc.bound, exc.bound.export_line(cf.channel.K)),
             "negative_cycle": _cycle_data(exc.cycle, exc.cycle_length),
         }
-        _emit(data, f"infeasible target: {exc}", args.json)
+        _emit(args, data, f"infeasible target: {exc}")
         return EXIT_NEGATIVE
     rendered = [
         "silent" if x is None else render_rational(x) for x in sol.allocation]
-    data = {
-        "command": "power",
-        "channel": cf.name,
-        "target": _render_vec(d),
-        "algorithm": sol.algorithm,
+    data = head | {
         "feasible": True,
         "via_counterpart": sol.via_counterpart,
         "allocation": rendered,
@@ -453,21 +430,21 @@ def cmd_power(args) -> int:
         lines.append("note: multi-state input solved through its regular counterpart")
     if sol.silent:
         lines.append(f"silent users: {_users(sol.silent)}")
-    _emit(data, "\n".join(lines), args.json)
+    _emit(args, data, "\n".join(lines))
     return EXIT_OK
 
 
 def _parse_p_list(args) -> tuple[float, ...]:
     if not args.P:
-        raise CliInputError("this command needs --P p1,p2,...")
+        raise ValueError("this command needs --P p1,p2,...")
     try:
         powers = [float(x) for x in args.P.split(",")]
     except ValueError:
-        raise CliInputError(f"bad --P: {args.P!r}") from None
+        raise ValueError(f"bad --P: {args.P!r}") from None
     if any(p <= 1 for p in powers):
-        raise CliInputError("all --P values must exceed 1")
+        raise ValueError("all --P values must exceed 1")
     if not all(map(math.isfinite, powers)):
-        raise CliInputError("all --P values must be finite")
+        raise ValueError("all --P values must be finite")
     return tuple(dict.fromkeys(powers))
 
 
@@ -475,13 +452,13 @@ def cmd_rates(args) -> int:
     cf = load_channel_file(args.channel)
     powers = _parse_p_list(args)
     if args.target and not args.alg:
-        raise CliInputError("--target is read only with --alg")
+        raise ValueError("--target is read only with --alg")
     named: list[tuple[str, tuple[Fraction, ...]]] = []
     if args.alloc:
         try:
             r = power_exponents(args.alloc.split(","), cf.channel.K)
         except ValueError as exc:
-            raise CliInputError(f"bad --alloc: {exc}") from None
+            raise ValueError(f"bad --alloc: {exc}") from None
         named.append(("explicit", r))
     if args.alg:
         if args.target:
@@ -489,12 +466,12 @@ def cmd_rates(args) -> int:
         elif cf.targets:
             targets = cf.targets
         else:
-            raise CliInputError(
+            raise ValueError(
                 "--alg needs a target (--target or a targets list in the file)")
         for alg in dict.fromkeys(alg.strip() for alg in args.alg.split(",")):
             for d in targets:
                 if any(x == 0 for x in d):
-                    raise CliInputError(
+                    raise ValueError(
                         "rate evaluation needs strictly positive targets")
                 try:
                     sol = solve_power(cf.channel, d, alg)
@@ -505,7 +482,7 @@ def cmd_rates(args) -> int:
                     f"{alg}@{'-'.join(_render_vec(d))}")
                 named.append((name, tuple(sol.allocation)))
     if not named:
-        raise CliInputError("this command needs --alloc or --alg")
+        raise ValueError("this command needs --alloc or --alg")
     # the sweep's synthetic baseline stands in for any all-zero allocation
     named = [(name, r) for name, r in named if any(x != 0 for x in r)]
     rows = sweep(cf.channel, named, powers)
@@ -578,9 +555,6 @@ def _run(args) -> int:
     """The command's exit code; an expected failure is reported on stderr."""
     try:
         return args.handler(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CertificateError as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -41,6 +41,7 @@ to ``u`` on that graph.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -48,7 +49,7 @@ from math import lcm
 import numpy as np
 
 import tinpower as tp
-from tinpower.cli import EXIT_OK, _constraint_data, _emit, _render_vec, load_channel_file
+from tinpower.cli import EXIT_OK, _constraint_data, _render_vec, load_channel_file
 from tinpower.region import EMPTY_REGION, Constraint, RegionConstraints
 
 F = Fraction
@@ -275,7 +276,8 @@ def region_constraints_fractions(channel) -> RegionConstraints:
 
 def cmd_region_whole(args) -> int:
     """``tinpower.cli.cmd_region`` with the report built whole before it is
-    printed: one dict per bound, each line from :meth:`Constraint.export_line`."""
+    printed: one dict per bound, each line from :meth:`Constraint.export_line`,
+    the head and the print written here rather than taken from ``cli``."""
     cf = load_channel_file(args.channel)
     cons = tp.region_constraints(cf.channel)
     lines = [c.export_line(cons.K) for c in cons.constraints]
@@ -297,7 +299,7 @@ def cmd_region_whole(args) -> int:
     except tp.EmptyRegionError:
         data["empty"] = True
         lines.append("# region is empty")
-    _emit(data, "\n".join(lines), args.json)
+    print(json.dumps(data, indent=2) if args.json else "\n".join(lines))
     return EXIT_OK
 
 

@@ -89,13 +89,22 @@ TWO_USERS = [{"states": [["1", "0.5"]]}, {"states": [["0.5", "1"]]}]
     ({"K": 2, "receivers": TWO_USERS, "targets": [[{"a": 1}]]}, "bad target"),
     ({"K": 2, "receivers": [{"states": 3}, TWO_USERS[1]]}, '"states"'),
     ({"K": True, "receivers": [{"states": [["1"]]}]}, '"K"'),
-], ids=["targets-number", "target-null", "target-object", "states-number", "K-bool"])
+    ({"name": {"a": 1}, "K": 2, "receivers": TWO_USERS}, '"name" must be a string'),
+], ids=["targets-number", "target-null", "target-object", "states-number", "K-bool",
+        "name-object"])
 @pytest.mark.parametrize("command", ["validate", "counterpart"])
 def test_malformed_documents_exit_2(tmp_path, capsys, doc, field, command):
     path = write(tmp_path, "malformed.json", doc)
     code, out, err = run(capsys, command, "--channel", path, "--json")
     assert code == 2 and out == ""
     assert field in err
+
+
+@pytest.mark.parametrize("name", [None, ""])
+def test_null_or_empty_name_falls_back_to_the_path(tmp_path, capsys, name):
+    path = write(tmp_path, "unnamed.json", {"name": name, "K": 2, "receivers": TWO_USERS})
+    code, out, _ = run(capsys, "validate", "--channel", path, "--json")
+    assert code == 0 and json.loads(out)["channel"] == path
 
 
 def test_missing_file_exits_2(capsys):
@@ -210,6 +219,190 @@ def test_region_reports_keep_their_bytes(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, as_json)
+
+
+# every other command's report on each sample file and the file's own target,
+# in text and JSON (rates writes CSV only)
+SAMPLES = ("asym3", "comp2", "mix3", "sym4")
+REPORT_CALLS = [
+    f"{name} {call}{flag}"
+    for name in SAMPLES
+    for call in ("validate", "tin-check", "counterpart", "feasible", "pareto",
+                 *(f"power --alg {alg}" for alg in ALGORITHMS))
+    for flag in ("", " --json")
+] + [f"{name} rates --alg sp,gsfpc,ggpc,ggpc-c --P 10,1000"
+     for name in SAMPLES]
+
+# sha256 of json.dumps([exit code, stdout, stderr]), recorded before the
+# report heads were written by one helper (`cli._head`)
+REPORT_DIGESTS = {
+    "asym3 validate":
+        "4652350b31275df1bcb9586ca90f56cdb24fba05fade0432387140591b0c9a85",
+    "asym3 validate --json":
+        "04f0ac66031e7d80e7df02e2b146a20d95f718a481129af79d6a39cc095e8391",
+    "asym3 tin-check":
+        "ebab80d7b2887ef4ea6c3918393c11e2640a7fc7990071e59649cc3faf42fce0",
+    "asym3 tin-check --json":
+        "da2c521f5937271bc2298212ba06728c3e41989037eeeae4829550453aa1ced3",
+    "asym3 counterpart":
+        "d6fe80a1bb8a849017a6590845defc8130f09fe251838aa2ff635c1d626c76e0",
+    "asym3 counterpart --json":
+        "099e4c2882b01f02baa6021c82611b050aba6ad5744d9e8bf53c2b64e31f2b42",
+    "asym3 feasible":
+        "5cedff0b741dfd0b9139c7ee5d58cdd7e43c4e31644d669c04dd226953090a2d",
+    "asym3 feasible --json":
+        "41ae2c5527713a432c1bb4fafd89f92ca9654a4b11a3311a38cc685b6dc6fd4b",
+    "asym3 pareto":
+        "71fa139862a474b79d7ac02d62b36c5b4bdb0d76b3923d4761a03deab9f85184",
+    "asym3 pareto --json":
+        "061a8cb15f0235d6bb5888fc6926ea3895beb01d795abf929d72cb1206317fbd",
+    "asym3 power --alg sp":
+        "14ed452b667f30906390ed92b57619a9ea0b5c087404429fb7dbcaa2aa173b58",
+    "asym3 power --alg sp --json":
+        "728e1dba1c020c2fd8e5bcf76a810d92d353a465b38d76da5ddb881e071187b7",
+    "asym3 power --alg gsfpc":
+        "14ed452b667f30906390ed92b57619a9ea0b5c087404429fb7dbcaa2aa173b58",
+    "asym3 power --alg gsfpc --json":
+        "44d325694f096f754ab33c05a9b79cce1a9f0a56512d56d2c8be548a2c458d4b",
+    "asym3 power --alg ggpc":
+        "2bf5a348f6149c64b23b03c6a9706cc14d2b0930675164ed2c3c56651c87580c",
+    "asym3 power --alg ggpc --json":
+        "923eb117dee6d7428b4c960600589e4a6724731689bb450c71f7a8edb5ec3691",
+    "asym3 power --alg ggpc-c":
+        "2bf5a348f6149c64b23b03c6a9706cc14d2b0930675164ed2c3c56651c87580c",
+    "asym3 power --alg ggpc-c --json":
+        "9d14e71f6e77af8fdede70561955157503de65fc43a37496ce63ad9bb4586a0e",
+    "comp2 validate":
+        "ab34e3246fd01085ebcd0c6245d426dbeb2dc412a2d6786e6720a819cc2ffdde",
+    "comp2 validate --json":
+        "d919fae16c5252498375954d95933078274070243e0adef67cdf94f063030ec5",
+    "comp2 tin-check":
+        "ebab80d7b2887ef4ea6c3918393c11e2640a7fc7990071e59649cc3faf42fce0",
+    "comp2 tin-check --json":
+        "379b06f5498df92f3481b50282660a51c0e74ffbcde2d4a2c4b9d289a17df893",
+    "comp2 counterpart":
+        "c4f5899bfd0b35f0a4a7057ee74044bae702d9748e028476b59cd86e3a774ed9",
+    "comp2 counterpart --json":
+        "853dcf831eaa097ff16f2987ce3b9c0818905fbd6a76f9742bd6e77b8811d2fe",
+    "comp2 feasible":
+        "d37a0669f7bff91b38c72ab366027b14706ce286283e8881ef3db980f6d73fb7",
+    "comp2 feasible --json":
+        "7126e4e1c2aa373460f4394e740b684407234ccd26ad81d2e5d548d85f33a82c",
+    "comp2 pareto":
+        "71fa139862a474b79d7ac02d62b36c5b4bdb0d76b3923d4761a03deab9f85184",
+    "comp2 pareto --json":
+        "5a17d3cc09d542836ac124a8667cb6341bb966fd2a80aedbb341299b6d29406b",
+    "comp2 power --alg sp":
+        "84c9974e00fdacca696875adc4d24d210d7ae3d2ad4aff4310e53caff1e1dcbb",
+    "comp2 power --alg sp --json":
+        "29fd78aa0742f7f0bed79607cb1b7c62b9c06b26359a7a2c1f7f16cd5230d8e1",
+    "comp2 power --alg gsfpc":
+        "84c9974e00fdacca696875adc4d24d210d7ae3d2ad4aff4310e53caff1e1dcbb",
+    "comp2 power --alg gsfpc --json":
+        "6110d3c6c9a53694f42e47f987ef75b63552bed6dc578c9556ca46b645a8f771",
+    "comp2 power --alg ggpc":
+        "8d8df271b70182c6110dee21e35e33f64360a44e4dcc866d89f939a0c577b13b",
+    "comp2 power --alg ggpc --json":
+        "04ae79397c992896a5d586de42f064b904522c37231ae06b5256ea2ffa3836a1",
+    "comp2 power --alg ggpc-c":
+        "c49a47c59f9b98af90ca437ea0abe9be0b717f498cf1e173d3593e46ef5b8a22",
+    "comp2 power --alg ggpc-c --json":
+        "56f68b6225ad491e0854f58f4aecdb85cb62b558f4c4924c69cc03182db5c4a4",
+    "mix3 validate":
+        "4652350b31275df1bcb9586ca90f56cdb24fba05fade0432387140591b0c9a85",
+    "mix3 validate --json":
+        "b4453170bc6b53887e6704445acac4cabdf8f59181cb11f1f87257c344c5a727",
+    "mix3 tin-check":
+        "ebab80d7b2887ef4ea6c3918393c11e2640a7fc7990071e59649cc3faf42fce0",
+    "mix3 tin-check --json":
+        "dcf928f8439e9301daf5b6f0fab58e0c63f83ac0b409b4bbe63f0d6ed2138453",
+    "mix3 counterpart":
+        "002fb97251ccaf69184382c4f0f3052980a39e570eb83b57cda6281a84b03271",
+    "mix3 counterpart --json":
+        "4765a509ea471ab6c2368904ffda63c4a95c9e8842ab5b2354c46e4311162491",
+    "mix3 feasible":
+        "dba332abe48bc3f837d5cdce47b33ddf6e1122f0b6aea9a97ffaa0b7cbae61e2",
+    "mix3 feasible --json":
+        "f61f998a0ca4b5eb7473e5172710a9f5b75240d1f7be2b174687ded18c8802ca",
+    "mix3 pareto":
+        "4e5f750a3068c714bace8d57519b218e7963e015a9a958f8a72242e27654c2c9",
+    "mix3 pareto --json":
+        "c337113799f273a416db4813f0b521afea44c1c9e5fac25fce9cf46d656af512",
+    "mix3 power --alg sp":
+        "bea6756c4aaacd1569fa7929d60184769a2ee461c540b405bc37586646da714d",
+    "mix3 power --alg sp --json":
+        "b8a0ef45410500af4379cd854e144ee66a019bb472c6f1c899a9b8dd5481317a",
+    "mix3 power --alg gsfpc":
+        "edd0547d5b1e103e5643c83b472551fb62cdadc945096c645a6528eff17b3216",
+    "mix3 power --alg gsfpc --json":
+        "c8809a72052e2ab4ae64298ed300a05c7a7f30a390d0d40d962b63001bd29de3",
+    "mix3 power --alg ggpc":
+        "edd0547d5b1e103e5643c83b472551fb62cdadc945096c645a6528eff17b3216",
+    "mix3 power --alg ggpc --json":
+        "99bdc01eb08a91a9195250be0d8d2e94f7be638bb4b092cf68fa5e15bb1b26d2",
+    "mix3 power --alg ggpc-c":
+        "edd0547d5b1e103e5643c83b472551fb62cdadc945096c645a6528eff17b3216",
+    "mix3 power --alg ggpc-c --json":
+        "8b389cd608f29bd9827b65eba5f097c55e42cdf8b023d7b2fae809611f0eb2f4",
+    "sym4 validate":
+        "1e32c27d144a880784c105512ccb4d96af73ee9f76eacbc5a543d1b5271a3308",
+    "sym4 validate --json":
+        "3feefef9847fb6e2675db1b064ce0a94d999a56ae3875f3e8402d0a87909fd47",
+    "sym4 tin-check":
+        "ebab80d7b2887ef4ea6c3918393c11e2640a7fc7990071e59649cc3faf42fce0",
+    "sym4 tin-check --json":
+        "d26988ce02b1d9b1905232d1829dfc0ec5a5f9ce069a1341e69427454e15da88",
+    "sym4 counterpart":
+        "c59ac84ca980c109b44c8f805812333c6c0cf945fddd6480e59a7bc8edaa1072",
+    "sym4 counterpart --json":
+        "3f2671203b434f68cf78870f9eb26ab915bd41f1e34f9f11b4597da8cd8d82cb",
+    "sym4 feasible":
+        "9af2b5cbf5863168def618ffb7b7f4bf6392ca7f66af299b4d33d948dfeeed54",
+    "sym4 feasible --json":
+        "03b055bbc379fe437a303e1dad94122669dce04c5ee8363334c9e11a039c887c",
+    "sym4 pareto":
+        "71fa139862a474b79d7ac02d62b36c5b4bdb0d76b3923d4761a03deab9f85184",
+    "sym4 pareto --json":
+        "6df38fce982c864390b57be280e31910ebf9f55b1ac056d5f2e0c3e33585393e",
+    "sym4 power --alg sp":
+        "2e6425ab855938842f8667bd1bcb21c033df4716049a189ba01735055155f895",
+    "sym4 power --alg sp --json":
+        "832c8bfb1423ff7845b34be29c4de036deaea42ea2139a34615a86a06ee31ea3",
+    "sym4 power --alg gsfpc":
+        "2e6425ab855938842f8667bd1bcb21c033df4716049a189ba01735055155f895",
+    "sym4 power --alg gsfpc --json":
+        "a7b8903aa4561e985e4e431b5c274d8bee10482f2836c3846cecaf249ba73ba2",
+    "sym4 power --alg ggpc":
+        "492ccc77eb8e092c27cd4cfdbe388a64ab6f08646641db9bc653005d3d82ad02",
+    "sym4 power --alg ggpc --json":
+        "d7e4194549921d3dcb7887c545a75391c75f9e94b7a1853f29f22bba53b2c6e8",
+    "sym4 power --alg ggpc-c":
+        "492ccc77eb8e092c27cd4cfdbe388a64ab6f08646641db9bc653005d3d82ad02",
+    "sym4 power --alg ggpc-c --json":
+        "b9b969bfcc1393984466993da855be7a38b4576b1cd95599997ccc3b970c8e5e",
+    "asym3 rates --alg sp,gsfpc,ggpc,ggpc-c --P 10,1000":
+        "e6c2d0415d9229c44edd0929fc6a00561cfb858418df424004b2287ac0a851df",
+    "comp2 rates --alg sp,gsfpc,ggpc,ggpc-c --P 10,1000":
+        "f000f050f4174efb1ea3ad6c92cf46a4bf4d7d3b04d8dbd6d48931c37d677288",
+    "mix3 rates --alg sp,gsfpc,ggpc,ggpc-c --P 10,1000":
+        "005f641ba76c1aa6b6463551d620c3683168a750c4405fad492b28b2e7eb7674",
+    "sym4 rates --alg sp,gsfpc,ggpc,ggpc-c --P 10,1000":
+        "aae4a5ddbd38d2a7284d4b679479af1c650267d0bde4e7fa262b6215a386db79",
+}
+
+
+def report_argv(call: str) -> list[str]:
+    name, command, *flags = call.split()
+    path = CHANNELS / f"{name}.json"
+    if command in ("feasible", "pareto", "power"):
+        flags += ["--target", ",".join(json.loads(path.read_text())["targets"][0])]
+    return [command, "--channel", str(path), *flags]
+
+
+@pytest.mark.parametrize("call", REPORT_CALLS)
+def test_reports_keep_their_bytes(capsys, call):
+    result = json.dumps(run(capsys, *report_argv(call)))
+    assert hashlib.sha256(result.encode()).hexdigest() == REPORT_DIGESTS[call]
 
 
 def channel_doc(channel, name=None) -> dict:
@@ -438,6 +631,14 @@ def test_debug_graph_dump(capsys):
     assert "# reduced potential graph" in err
     assert "# full potential graph" in err
     assert any(len(line.split()) == 3 for line in err.splitlines())
+
+
+def test_power_unknown_alg_is_refused_before_the_dump(capsys):
+    code, out, err = run(
+        capsys, "power", "--channel", str(CHANNELS / "asym3.json"),
+        "--target", "1,1,1", "--alg", "foo", "--debug-graph")
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown algorithm 'foo'; pick from {ALGORITHMS}\n"
 
 
 def parse_dump(text) -> tp.PotentialGraph:

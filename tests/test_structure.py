@@ -141,3 +141,28 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert "dataclasses" not in {name.split(".")[0] for name in names}, module
+
+
+def test_cli_defines_no_exception_class():
+    # input problems are plain ValueErrors, reported by `_run` as exit 2
+    for node in ast.walk(MODULES["cli"]):
+        if isinstance(node, ast.ClassDef):
+            bases = {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+            assert not any(name.endswith(("Error", "Exception")) for name in bases), node.name
+
+
+def test_report_heads_are_written_only_in_head():
+    # every report's "command" and "channel" keys come from `cli._head`
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, ast.FunctionDef) else scope
+            if isinstance(child, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and key.value == "command"
+                    for key in child.keys):
+                scopes.append(".".join(scope))
+            visit(child, inner)
+
+    visit(MODULES["cli"], ())
+    assert scopes == ["_head"]
