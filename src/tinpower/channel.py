@@ -59,22 +59,36 @@ class CompoundChannel(_ChannelFields):
 
     @classmethod
     def from_lists(cls, receivers) -> "CompoundChannel":
-        """Build a channel from nested lists of decimals/numbers, one list of
-        states per receiver; K is the number of receivers.
-
-        Exact duplicate states within a receiver are dropped (they are
-        mathematically inert and only inflate graph sizes). Each distinct
-        literal is parsed once (:func:`rational_parser`).
-        """
-        parse = rational_parser()
-        parsed = tuple(
-            _distinct(tuple(map(parse, state)) for state in states)
-            for states in receivers)
+        """Build a channel from one list of literal states per receiver
+        (:func:`parse_receivers`); K is the number of receivers."""
+        parsed = parse_receivers(receivers)
         return cls(len(parsed), parsed)
 
     @property
     def state_counts(self) -> tuple[int, ...]:
         return tuple(len(states) for states in self.receivers)
+
+
+def parse_receivers(receivers) -> tuple[StateSet, ...]:
+    """Each receiver's states, lists or tuples of literals in a list or
+    tuple, as exact vectors: each distinct literal parsed once
+    (:func:`rational_parser`), exact duplicate states dropped
+    (:func:`_distinct`). A refusal is a ``ValueError`` naming the receiver."""
+    parse = rational_parser()
+    out = []
+    for k, states in enumerate(receivers, 1):
+        if not isinstance(states, (list, tuple)):
+            raise ValueError(f'receiver {k}: "states" must be an array')
+        vecs = []
+        for state in states:
+            if not isinstance(state, (list, tuple)):
+                raise ValueError(f"receiver {k} has a non-array state")
+            try:
+                vecs.append(tuple(map(parse, state)))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"receiver {k}: {exc}") from None
+        out.append(_distinct(vecs))
+    return tuple(out)
 
 
 def _distinct(states) -> StateSet:

@@ -16,13 +16,13 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, islice, starmap
+from itertools import chain, islice, product, starmap
 from typing import NamedTuple
 
 from .channel import (
     CompoundChannel,
     TinViolation,
-    _distinct,
+    parse_receivers,
     regular_counterpart,
     tin_optimal,
     validate,
@@ -41,10 +41,11 @@ from .power import (
     GsfpcTrace,
     active_subnetwork,
     certify_allocation,
+    check_algorithm,
     solve_power,
 )
 from .rates import sweep
-from .rationals import gdof_tuple, power_exponents, rational_parser, render_rational
+from .rationals import gdof_tuple, power_exponents, render_rational
 from .region import (
     bound_lines,
     bounds,
@@ -84,37 +85,6 @@ class ChannelFile(NamedTuple):
     targets: list[tuple[Fraction, ...]]
 
 
-def _parse_channel_doc(doc) -> tuple[int, tuple]:
-    """The channel fields of a parsed document: K and the receivers' state
-    sets, duplicates dropped."""
-    if not isinstance(doc, dict):
-        raise ValueError("channel document must be a JSON object")
-    for key in ("K", "receivers"):
-        if key not in doc:
-            raise ValueError(f'channel document is missing "{key}"')
-    if isinstance(doc["K"], bool) or not isinstance(doc["K"], int):
-        raise ValueError('"K" must be an integer')
-    if not isinstance(doc["receivers"], list):
-        raise ValueError('"receivers" must be an array')
-    parse = rational_parser()
-    receivers = []
-    for idx, rx in enumerate(doc["receivers"]):
-        if not isinstance(rx, dict) or "states" not in rx:
-            raise ValueError(f'receiver {idx + 1} must be an object with "states"')
-        if not isinstance(rx["states"], list):
-            raise ValueError(f'receiver {idx + 1}: "states" must be an array')
-        states = []
-        for state in rx["states"]:
-            if not isinstance(state, list):
-                raise ValueError(f"receiver {idx + 1} has a non-array state")
-            try:
-                states.append(tuple(map(parse, state)))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"receiver {idx + 1}: {exc}") from None
-        receivers.append(_distinct(states))
-    return doc["K"], tuple(receivers)
-
-
 def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFile:
     try:
         with open(path) as fh:
@@ -125,9 +95,27 @@ def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFil
             f"column {exc.colno}: {exc.msg}") from None
     except OSError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("channel document must be a JSON object")
+    for key in ("K", "receivers"):
+        if key not in doc:
+            raise ValueError(f'channel document is missing "{key}"')
+    if isinstance(doc["K"], bool) or not isinstance(doc["K"], int):
+        raise ValueError('"K" must be an integer')
+    if not isinstance(doc["receivers"], list):
+        raise ValueError('"receivers" must be an array')
+
+    def states():
+        # each receiver's shape is checked as the parser reaches it, so a
+        # file with several faults reports the first in document order
+        for idx, rx in enumerate(doc["receivers"], 1):
+            if not isinstance(rx, dict) or "states" not in rx:
+                raise ValueError(f'receiver {idx} must be an object with "states"')
+            yield rx["states"]
+
     build = CompoundChannel if validate_channel else CompoundChannel._unchecked
     try:
-        channel = build(*_parse_channel_doc(doc))
+        channel = build(doc["K"], parse_receivers(states()))
     except ChannelValidationError as exc:
         raise ValueError(f"{path}: invalid channel: {exc}") from None
     raw_targets = doc.get("targets", [])
@@ -397,9 +385,9 @@ def cmd_power(args) -> int:
     d = _parse_target(args, cf.channel)
     if not args.alg:
         raise ValueError(f"this command needs --alg, one of {ALGORITHMS}")
-    if args.debug_graph and any(d) and args.alg in ALGORITHMS:
+    check_algorithm(args.alg)
+    if args.debug_graph and any(d):
         # the graphs the control decides on: the active users' subnetwork
-        # (an unknown --alg is refused by solve_power, before any dump)
         active, sub, d_sub = active_subnetwork(cf.channel, d)
         _dump_graphs(decide(sub, d_sub).graph, sub, d_sub, active)
     head = _head(args, cf, d) | {"algorithm": args.alg}
@@ -466,21 +454,20 @@ def cmd_rates(args) -> int:
         elif cf.targets:
             targets = cf.targets
         else:
-            raise ValueError(
-                "--alg needs a target (--target or a targets list in the file)")
-        for alg in dict.fromkeys(alg.strip() for alg in args.alg.split(",")):
-            for d in targets:
-                if any(x == 0 for x in d):
-                    raise ValueError(
-                        "rate evaluation needs strictly positive targets")
-                try:
-                    sol = solve_power(cf.channel, d, alg)
-                except InfeasibleTargetError as exc:
-                    print(f"infeasible target: {exc}")
-                    return EXIT_NEGATIVE
-                name = alg if len(targets) == 1 else (
-                    f"{alg}@{'-'.join(_render_vec(d))}")
-                named.append((name, tuple(sol.allocation)))
+            raise ValueError("--alg needs a target (--target or a targets list in the file)")
+        if any(0 in d for d in targets):
+            raise ValueError("rate evaluation needs strictly positive targets")
+        algs = dict.fromkeys(alg.strip() for alg in args.alg.split(","))
+        for alg in algs:
+            check_algorithm(alg)
+        for alg, d in product(algs, targets):
+            try:
+                sol = solve_power(cf.channel, d, alg)
+            except InfeasibleTargetError as exc:
+                print(f"infeasible target: {exc}")
+                return EXIT_NEGATIVE
+            name = alg if len(targets) == 1 else f"{alg}@{'-'.join(_render_vec(d))}"
+            named.append((name, tuple(sol.allocation)))
     if not named:
         raise ValueError("this command needs --alloc or --alg")
     # the sweep's synthetic baseline stands in for any all-zero allocation

@@ -266,11 +266,16 @@ class PowerSolution(NamedTuple):
 ALGORITHMS = ("sp", "gsfpc", "ggpc", "ggpc-c")
 
 
+def check_algorithm(algorithm: str) -> None:
+    """Refuse a control name outside :data:`ALGORITHMS` (``ValueError``)."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
+
+
 def active_subnetwork(channel, d) -> tuple[list[int], CompoundChannel, tuple[Fraction, ...]]:
-    """The users with a non-zero target in ``d`` (at least one), the
-    subnetwork of them that the controls decide and run on (the channel
-    itself when no target is zero), and their targets."""
-    d = gdof_tuple(d, channel.K)
+    """The users with a non-zero target in the GDoF tuple ``d`` (at least
+    one), the subnetwork of them that the controls decide and run on (the
+    channel itself when no target is zero), and their targets."""
     active = [i for i, x in enumerate(d) if x > 0]
     sub = subnetwork(channel, active) if len(active) < channel.K else channel
     return active, sub, tuple(d[i] for i in active)
@@ -288,8 +293,7 @@ def solve_power(channel, d, algorithm: str) -> PowerSolution:
     ``via_counterpart``, "ggpc-c" does not. An allocation whose per-state
     achieved GDoF misses the target raises :class:`CertificateError`.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
+    check_algorithm(algorithm)
     d = gdof_tuple(d, channel.K)
     silent = tuple(i for i, x in enumerate(d) if x == 0)
     if len(silent) == channel.K:

@@ -248,6 +248,33 @@ def test_converters_reject_malformed_sets(convert, data):
         convert(data)
 
 
+@pytest.mark.parametrize("convert, data, message", [
+    (tp.CompoundChannel.from_lists, [["12"], ["34"]], "receiver 1 has a non-array state"),
+    (tp.from_joint_set, [["12", "34"]], "receiver 1 has a non-array state"),
+    (tp.RegularChannel.from_matrix, ["12", "34"], "receiver 1 has a non-array state"),
+    (tp.CompoundChannel.from_lists, ["12"], 'receiver 1: "states" must be an array'),
+    (tp.CompoundChannel.from_lists, [[["1", "x"]]],
+     "receiver 1: not a decimal or p/q rational: 'x'"),
+    (tp.CompoundChannel.from_lists, [[["1", None]]],
+     "receiver 1: cannot interpret NoneType as a rational"),
+    (tp.CompoundChannel.from_lists, [[["1", "0.5"]], [["0.5", "1"], "y"]],
+     "receiver 2 has a non-array state"),
+], ids=["lists-string-states", "joint-string-rows", "matrix-string-rows", "lists-string",
+        "lists-bad-literal", "lists-null-literal", "lists-second-receiver"])
+def test_literal_lists_are_refused_naming_the_receiver(convert, data, message):
+    # a string is no state, though it iterates: it is refused, not read by
+    # character, and a refused literal is a plain ValueError, never a TypeError
+    with pytest.raises(ValueError) as err:
+        convert(data)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
+def test_literal_lists_may_be_tuples():
+    lists = tp.CompoundChannel.from_lists([[["1", "0.5"], [1, 0.5]], [["0.5", "1"]]])
+    tuples = tp.CompoundChannel.from_lists(((("1", "0.5"), (1, 0.5)), (("0.5", "1"),)))
+    assert lists == tuples and lists.state_counts == (1, 1)
+
+
 @pytest.mark.parametrize("convert, data", [
     (tp.RegularChannel.from_matrix, [["1", "0.5"], ["0.3", "1"]]),
     (tp.from_entrywise_sets, [[["1", "2"], ["0.1", "0.5"]], [["0.3"], ["1"]]]),

@@ -939,6 +939,40 @@ def test_rates_target_needs_alg(capsys):
     assert err == "error: --target is read only with --alg\n"
 
 
+UNKNOWN_FOO = "unknown algorithm 'foo'; pick from ('sp', 'gsfpc', 'ggpc', 'ggpc-c')"
+
+
+def _count_solves(monkeypatch) -> list:
+    """The arguments of each ``solve_power`` call the CLI makes from now on."""
+    solved = []
+    real = cli.solve_power
+    monkeypatch.setattr(cli, "solve_power", lambda *a: solved.append(a) or real(*a))
+    return solved
+
+
+@pytest.mark.parametrize("argv", [
+    ["--target", "0.5,0.5,0.3", "--alg", "sp,ggpc,foo"],
+    ["--target", "5,5,5", "--alg", "sp,foo"],
+    ["--target", "0.5,0.5,0.3", "--alg", "sp,ggpc,foo", "--alloc=-0.1,0,0"],
+    ["--alg", "sp,ggpc,foo"],
+], ids=["feasible-target", "infeasible-target", "with-alloc", "file-targets"])
+def test_rates_checks_every_alg_before_the_first_solve(capsys, monkeypatch, argv):
+    # input problems are reported before any output: no control runs first
+    solved = _count_solves(monkeypatch)
+    assert run(capsys, "rates", "--channel", str(CHANNELS / "asym3.json"), *argv,
+               "--P", "100") == (2, "", f"error: {UNKNOWN_FOO}\n")
+    assert solved == []
+
+
+def test_rates_checks_every_target_before_the_first_solve(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "two.json", {"K": 2, "receivers": TWO_USERS,
+                                        "targets": [["0.4", "0.4"], ["0", "0.4"]]})
+    solved = _count_solves(monkeypatch)
+    assert run(capsys, "rates", "--channel", path, "--alg", "sp,ggpc", "--P", "100") == (
+        2, "", "error: rate evaluation needs strictly positive targets\n")
+    assert solved == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["feasible"], "this command needs --target d1,d2,..."),
     (["feasible", "--target=-0.5,0.5"],
@@ -954,9 +988,11 @@ def test_rates_target_needs_alg(capsys):
      "bad --alloc: power exponents must be <= 0, got 0.1"),
     (["rates", "--alg", "sp", "--P", "10"],
      "--alg needs a target (--target or a targets list in the file)"),
+    # every --alg name is checked before the first solve, here an infeasible one
+    (["rates", "--target", "5,5", "--alg", "sp,foo", "--P", "100"], UNKNOWN_FOO),
 ], ids=["feasible-no-target", "feasible-negative-target", "rates-no-P", "rates-P-abc",
         "rates-P-1", "rates-alloc-x", "rates-alloc-short-zero", "rates-alloc-positive",
-        "rates-alg-no-target"])
+        "rates-alg-no-target", "rates-alg-unknown-after-infeasible"])
 def test_input_errors_exit_2_with_message(tmp_path, capsys, argv, message):
     path = write(tmp_path, "two.json", {"K": 2, "receivers": TWO_USERS})
     code, out, err = run(capsys, argv[0], "--channel", path, *argv[1:])

@@ -99,8 +99,28 @@ def test_no_private_name_crosses_modules(module):
         if isinstance(node, ast.ImportFrom)
         and (node.level or (node.module or "").split(".")[0] == "tinpower")
         for alias in node.names if alias.name.startswith("_")}
-    allowed = {("channel", "_distinct")} if module == "cli" else set()
-    assert imported <= allowed
+    assert imported == set()
+
+
+def test_literal_lists_parse_only_in_the_channel_layer():
+    # `from_lists` and the CLI's loader share `parse_receivers`, which keeps
+    # one literal memo per document and drops duplicate states
+    callers = {f"{module}.{scope}" for module, tree in MODULES.items()
+               for scope in _callers(tree, "rational_parser")}
+    assert callers == {"channel.parse_receivers"}
+    assert _callers(MODULES["cli"], "parse_receivers") == ["load_channel_file"]
+    assert _callers(MODULES["channel"], "parse_receivers") == ["CompoundChannel.from_lists"]
+
+
+def test_unknown_algorithm_is_refused_in_one_place():
+    # `solve_power`, `power` and `rates` refuse a name through
+    # `check_algorithm`, before any work, with its one copy of the message
+    written = [module for module, tree in MODULES.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and "unknown algorithm" in node.value]
+    assert written == ["power"]
+    assert _callers(MODULES["power"], "check_algorithm") == ["solve_power"]
+    assert sorted(_callers(MODULES["cli"], "check_algorithm")) == ["cmd_power", "cmd_rates"]
 
 
 def _function(tree, name) -> ast.FunctionDef:
