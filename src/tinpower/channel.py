@@ -298,13 +298,24 @@ def from_entrywise_sets(grid) -> RegularChannel:
     """Worst case of independent per-link uncertainty, given as a K x K grid
     of finite sets: weakest possible direct links, strongest crosses.
 
-    Every entry is checked here, since a cell's max would hide a negative one.
+    Each row and each cell must be a list or tuple, so a string is refused
+    rather than read by character. Every entry is checked here, since a
+    cell's max would hide a negative one.
     """
     matrix = []
     for i, row in enumerate(grid):
+        if not isinstance(row, (list, tuple)):
+            raise ChannelValidationError(f"row {i} must be a list or tuple", receiver=i)
         matrix.append([])
         for j, cell in enumerate(row):
-            values = [parse_rational(x) for x in cell]
+            if not isinstance(cell, (list, tuple)):
+                raise ChannelValidationError(
+                    f"entry ({i},{j}) must be a list or tuple", receiver=i)
+            try:
+                values = [parse_rational(x) for x in cell]
+            except (ValueError, TypeError) as exc:
+                raise ChannelValidationError(
+                    f"entry ({i},{j}): {exc}", receiver=i) from None
             if not values:
                 raise ChannelValidationError(
                     f"entry ({i},{j}) has an empty set", receiver=i)

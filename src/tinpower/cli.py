@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import chain, islice, product, starmap
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .channel import (
     CompoundChannel,
@@ -529,8 +529,8 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # the reader of stdout or stderr left; point both at devnull so that
-        # the interpreter's final flush of what is still buffered does not
-        # raise again
+        # the final flush of what is still buffered (`run_and_exit`'s, or the
+        # interpreter's in an embedder) does not raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.dup2(devnull, sys.stderr.fileno())
@@ -550,5 +550,19 @@ def _run(args) -> int:
         return EXIT_INPUT
 
 
+def run_and_exit() -> NoReturn:
+    """The process entry (``python -m tinpower.cli`` and the ``tinpower``
+    script): :func:`main`, then one flush of stdout and stderr and
+    ``os._exit``. Nothing is left to do once the report is flushed: no
+    thread, no ``atexit`` hook of the package's and no file open for
+    writing, so the interpreter's teardown of every module is skipped. An
+    exception that escapes ``main`` (argparse's ``SystemExit`` included)
+    ends the process the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

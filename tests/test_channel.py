@@ -241,11 +241,30 @@ def test_from_entrywise_sets_three_user_offdiag():
     (tp.from_entrywise_sets, [[["1"], []], [["0"], ["1"]]]),            # empty cell
     (tp.from_entrywise_sets, [[["1"], ["-0.5", "1"]], [["0"], ["1"]]]),  # max hides it
     (tp.from_entrywise_sets, [[["1"], ["0"]], [["1"]]]),                # ragged grid
+    (tp.from_entrywise_sets, [["12"]]),                                 # string cell
+    (tp.from_entrywise_sets, [[[None]]]),                               # null literal
 ], ids=["joint-empty", "joint-rows", "joint-ragged", "joint-negative",
-        "entrywise-empty-cell", "entrywise-negative", "entrywise-ragged"])
+        "entrywise-empty-cell", "entrywise-negative", "entrywise-ragged",
+        "entrywise-string-cell", "entrywise-null-literal"])
 def test_converters_reject_malformed_sets(convert, data):
     with pytest.raises(tp.ChannelValidationError):
         convert(data)
+
+
+@pytest.mark.parametrize("grid, receiver, message", [
+    ([["12"]], 0, "entry (0,0) must be a list or tuple"),
+    ([[["1"], ["0"]], None], 1, "row 1 must be a list or tuple"),
+    ([[["1"], ["0"]], [["0"], [None]]], 1,
+     "entry (1,1): cannot interpret NoneType as a rational"),
+    ([[["1"], ["0", "x"]], [["0"], ["1"]]], 0,
+     "entry (0,1): not a decimal or p/q rational: 'x'"),
+], ids=["string-cell", "null-row", "null-literal", "bad-literal"])
+def test_entrywise_refusals_name_the_entry(grid, receiver, message):
+    # a string cell is no set, though it iterates: it is refused, not read
+    # by character, and a refused literal is never a bare TypeError
+    with pytest.raises(tp.ChannelValidationError) as err:
+        tp.from_entrywise_sets(grid)
+    assert (str(err.value), err.value.receiver) == (message, receiver)
 
 
 @pytest.mark.parametrize("convert, data, message", [

@@ -1187,6 +1187,28 @@ def test_stdout_closed_mid_stream_exits_141_quietly(tmp_path, buffered):
         assert (proc.wait(timeout=120), err) == (141, b"")
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["region", "--channel", K7, "--json"],
+    ["rates", "--channel", str(CHANNELS / "sym4.json"), "--alg", "sp", "--P", "10,100"],
+    ["feasible", "--channel", str(CHANNELS / "asym3.json"), "--target", "2,2,0",
+     "--debug-graph"],
+    ["validate", "--channel", str(ROOT / "no" / "such.json")],
+], ids=["region-k7", "rates", "feasible-no-debug-graph", "missing-file"])
+def test_process_exit_loses_no_output(argv, buffered, tmp_path, capsys):
+    # the process ends with `os._exit` once its report is flushed, skipping
+    # the interpreter's teardown: a report larger than a pipe's buffer, a
+    # CSV table, a "no" with its graph dump on stderr and an error line all
+    # arrive whole, with the code the in-process `main` returns
+    argv = [seven_user_path(tmp_path) if a == K7 else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "tinpower.cli", *argv],
+                          capture_output=True, text=True, env=cli_env(buffered),
+                          timeout=120)
+    expected = run(capsys, *argv)
+    assert expected[0] in (0, 1, 2) and expected[1] + expected[2]
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 @pytest.mark.parametrize("optimum", ["sum_gdof", "symmetric_gdof"])
 def test_region_failed_check_leaves_stdout_empty(capsys, monkeypatch, optimum):
     # both optima are checked before the first bound is written

@@ -186,3 +186,27 @@ def test_report_heads_are_written_only_in_head():
 
     visit(MODULES["cli"], ())
     assert scopes == ["_head"]
+
+
+def test_only_the_process_entry_skips_teardown():
+    # `os._exit` ends a CLI process once its report is flushed; `cli.main`
+    # returns its code, so tests and embedders keep their interpreter
+    exits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, ast.FunctionDef) else scope
+            if isinstance(child, ast.Attribute) and child.attr == "_exit":
+                exits.append(".".join(scope))
+            visit(child, inner)
+
+    for module, tree in MODULES.items():
+        visit(tree, (module,))
+    assert exits == ["cli.run_and_exit"]
+    assert _callers(MODULES["cli"], "run_and_exit") == [""]  # the `__main__` block
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["tinpower"] == "tinpower.cli:run_and_exit"
