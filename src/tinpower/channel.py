@@ -102,49 +102,31 @@ def _distinct(states) -> StateSet:
     return tuple(first.values())
 
 
-class _RegularFields(NamedTuple):
-    channel: CompoundChannel
-
-
-class RegularChannel(_RegularFields):
-    """Single-state channel: a thin view exposing the K x K strength matrix.
-
-    It reads as the channel it wraps, so it can be passed wherever a
-    ``CompoundChannel`` is accepted. Building one checks it has one state
-    per receiver, which :attr:`matrix` and :func:`regular_counterpart` read.
-    """
+class RegularChannel(CompoundChannel):
+    """Single-state channel, such as a regular counterpart: a
+    ``CompoundChannel`` with one state per receiver, which building one
+    checks, so :attr:`matrix` reads each receiver's only state."""
 
     __slots__ = ()
 
-    def __new__(cls, channel) -> "RegularChannel":
+    def __new__(cls, K, receivers) -> "RegularChannel":
+        channel = super().__new__(cls, K, receivers)
         if not is_regular(channel):
             raise ChannelValidationError("a regular channel has one state per receiver")
-        return super().__new__(cls, channel)
-
-    @classmethod
-    def _make(cls, iterable) -> "RegularChannel":
-        return cls(*iterable)
+        return channel
 
     @classmethod
     def from_matrix(cls, matrix) -> "RegularChannel":
-        # one state per receiver by construction
-        return cls(CompoundChannel.from_lists([[row] for row in matrix]))
-
-    @property
-    def K(self) -> int:
-        return self.channel.K
-
-    @property
-    def receivers(self) -> tuple[StateSet, ...]:
-        return self.channel.receivers
-
-    @property
-    def state_counts(self) -> tuple[int, ...]:
-        return self.channel.state_counts
+        return cls.from_lists([[row] for row in matrix])
 
     @property
     def matrix(self) -> tuple[StateVector, ...]:
-        return tuple(states[0] for states in self.channel.receivers)
+        return tuple(states[0] for states in self.receivers)
+
+    @property
+    def channel(self) -> "RegularChannel":
+        """The channel itself: a regular channel is its own channel."""
+        return self
 
 
 def validate(channel: CompoundChannel) -> None:
@@ -243,7 +225,7 @@ def regular_counterpart(channel: CompoundChannel) -> RegularChannel:
         return channel
     rows = tuple((tuple(Fraction(x, scale) for x in row),)
                  for scale, (row,) in _counterpart_rows(channel))
-    return RegularChannel(CompoundChannel(channel.K, rows))
+    return RegularChannel(channel.K, rows)
 
 
 def counterpart_lattice(channel) -> tuple[int, list[list[int]]]:

@@ -87,13 +87,13 @@ class ChannelFile(NamedTuple):
 
 def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFile:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: JSON parse error at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError("channel document must be a JSON object")
@@ -188,8 +188,7 @@ def _dump_graphs(reduced, channel, d, users=None) -> None:
     print(build_full(channel, d).dump(users), file=sys.stderr)
 
 
-def cmd_validate(args) -> int:
-    cf = load_channel_file(args.channel, validate_channel=False)
+def cmd_validate(args, cf) -> int:
     try:
         validate(cf.channel)
     except ChannelValidationError as exc:
@@ -208,8 +207,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_tin_check(args) -> int:
-    cf = load_channel_file(args.channel)
+def cmd_tin_check(args, cf) -> int:
     ok, witness = tin_optimal(cf.channel)
     data = _head(args, cf) | {"tin_optimal": ok}
     if ok:
@@ -225,8 +223,7 @@ def cmd_tin_check(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-def cmd_counterpart(args) -> int:
-    cf = load_channel_file(args.channel)
+def cmd_counterpart(args, cf) -> int:
     cp = regular_counterpart(cf.channel)
     doc = {
         "name": f"{cf.name}-counterpart",
@@ -240,8 +237,7 @@ def cmd_counterpart(args) -> int:
     return EXIT_OK
 
 
-def cmd_feasible(args) -> int:
-    cf = load_channel_file(args.channel)
+def cmd_feasible(args, cf) -> int:
     d = _parse_target(args, cf.channel)
     verdict = decide(cf.channel, d)
     sp, violated = verdict.sp, verdict.bound
@@ -267,7 +263,7 @@ def cmd_feasible(args) -> int:
     return EXIT_OK if sp.feasible else EXIT_NEGATIVE
 
 
-def cmd_region(args) -> int:
+def cmd_region(args, cf) -> int:
     """The region's inequality list, then its sum and symmetric optima.
 
     The K guard is checked and both optima computed before the first byte
@@ -277,7 +273,6 @@ def cmd_region(args) -> int:
     the report is ever held whole. Each bound is rendered once, and the JSON
     reads byte for byte as ``json.dumps(indent=2)`` of the whole document.
     """
-    cf = load_channel_file(args.channel)
     found = bounds(cf.channel)
     try:
         total, maximizer = sum_gdof(cf.channel)
@@ -331,8 +326,7 @@ def _stream(pieces, sep: str) -> None:
         sys.stdout.write(sep.join(["", *batch]))
 
 
-def cmd_pareto(args) -> int:
-    cf = load_channel_file(args.channel)
+def cmd_pareto(args, cf) -> int:
     d = _parse_target(args, cf.channel)
     K = cf.channel.K
     verdict = decide(cf.channel, d)
@@ -380,8 +374,7 @@ def _trace_data(trace) -> dict | None:
     }
 
 
-def cmd_power(args) -> int:
-    cf = load_channel_file(args.channel)
+def cmd_power(args, cf) -> int:
     d = _parse_target(args, cf.channel)
     if not args.alg:
         raise ValueError(f"this command needs --alg, one of {ALGORITHMS}")
@@ -436,8 +429,7 @@ def _parse_p_list(args) -> tuple[float, ...]:
     return tuple(dict.fromkeys(powers))
 
 
-def cmd_rates(args) -> int:
-    cf = load_channel_file(args.channel)
+def cmd_rates(args, cf) -> int:
     powers = _parse_p_list(args)
     if args.target and not args.alg:
         raise ValueError("--target is read only with --alg")
@@ -539,9 +531,12 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """The command's exit code; an expected failure is reported on stderr."""
+    """The command's exit code, its handler given the loaded channel file
+    (built unchecked for ``validate``, which reports on it); an expected
+    failure is reported on stderr."""
     try:
-        return args.handler(args)
+        cf = load_channel_file(args.channel, validate_channel=args.command != "validate")
+        return args.handler(args, cf)
     except CertificateError as exc:
         print(f"internal check failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

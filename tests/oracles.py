@@ -49,7 +49,7 @@ from math import lcm
 import numpy as np
 
 import tinpower as tp
-from tinpower.cli import EXIT_OK, _constraint_data, _render_vec, load_channel_file
+from tinpower.cli import EXIT_OK, _constraint_data, _render_vec
 from tinpower.region import EMPTY_REGION, Constraint, RegionConstraints
 
 F = Fraction
@@ -274,11 +274,10 @@ def region_constraints_fractions(channel) -> RegionConstraints:
         unique.values(), key=lambda c: (len(c.users), c.users, c.rhs))))
 
 
-def cmd_region_whole(args) -> int:
+def cmd_region_whole(args, cf) -> int:
     """``tinpower.cli.cmd_region`` with the report built whole before it is
     printed: one dict per bound, each line from :meth:`Constraint.export_line`,
     the head and the print written here rather than taken from ``cli``."""
-    cf = load_channel_file(args.channel)
     cons = tp.region_constraints(cf.channel)
     lines = [c.export_line(cons.K) for c in cons.constraints]
     data = {

@@ -125,13 +125,32 @@ def test_counterpart_identity_on_regular(sym4):
 
 
 def test_regular_channel_refuses_a_multi_state_channel(comp2):
-    # the wrapper's matrix reads state 0 and regular_counterpart returns it
-    # as it is, so a multi-state channel must not get in, by `_make` and
-    # `_replace` neither
-    for build in (tp.RegularChannel, lambda channel: tp.RegularChannel._make((channel,)),
-                  lambda channel: tp.regular_counterpart(channel)._replace(channel=channel)):
+    # its matrix reads state 0 and regular_counterpart returns it as it is,
+    # so a multi-state channel must not get in: not through the
+    # constructor, `_make` or `_replace(receivers=...)`
+    for build in (lambda channel: tp.RegularChannel(*channel), tp.RegularChannel._make,
+                  lambda channel: tp.regular_counterpart(channel)._replace(
+                      receivers=channel.receivers)):
         with pytest.raises(tp.ChannelValidationError, match="one state per receiver"):
             build(comp2)
+
+
+def test_a_regular_channel_is_a_checked_compound_channel(comp2):
+    # one value, checked once where it is built: no wrapper to unwrap
+    built = {
+        "regular_counterpart": tp.regular_counterpart(comp2),
+        "from_matrix": tp.RegularChannel.from_matrix([["0.8", "0.3"], ["0.5", "1"]]),
+        "from_entrywise_sets": tp.from_entrywise_sets(
+            [[["0.8", "1"], ["0.3"]], [["0.5"], ["1", "2"]]]),
+    }
+    for name, regular in built.items():
+        assert type(regular) is tp.RegularChannel, name
+        assert isinstance(regular, tp.CompoundChannel), name
+        assert regular.channel is regular, name
+        assert regular == tp.CompoundChannel(*regular), name
+        assert regular.matrix == ((F("0.8"), F("0.3")), (F("0.5"), F(1))), name
+    with pytest.raises(tp.ChannelValidationError, match="expected 2 receivers"):
+        tp.RegularChannel(2, comp2.receivers[:1])
 
 
 def test_counterpart_mixes_states():
@@ -366,7 +385,7 @@ CHANNEL_CALLS = {
 def test_regular_channel_reads_as_its_channel(name):
     call = CHANNEL_CALLS[name]
     reg = tp.RegularChannel.from_matrix(MIX3_MATRIX)
-    assert call(reg) == call(reg.channel)
+    assert call(reg) == call(tp.CompoundChannel(*reg))
 
 
 def test_public_names_are_pinned():

@@ -112,6 +112,18 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "tin-check"])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, command):
+    # a UTF-16 file with its byte-order mark: a channel file is read as
+    # UTF-8, and its decoding error names the file like any unreadable one
+    path = tmp_path / "utf16.json"
+    doc = json.dumps({"K": 2, "receivers": TWO_USERS})
+    path.write_bytes(b"\xff\xfe" + doc.encode("utf-16-le"))
+    assert run(capsys, command, "--channel", str(path)) == (
+        2, "", f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
+
+
 def test_tin_check_true(capsys):
     code, out, _ = run(capsys, "tin-check", "--channel", str(CHANNELS / "comp2.json"))
     assert code == 0

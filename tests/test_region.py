@@ -314,7 +314,7 @@ def test_symmetric_gdof_builds_one_counterpart(monkeypatch):
 
 def realizations(channel) -> list[tp.RegularChannel]:
     """Every single-state channel that takes one state per receiver."""
-    return [tp.RegularChannel(tp.CompoundChannel(channel.K, tuple((v,) for v in pick)))
+    return [tp.RegularChannel(channel.K, tuple((v,) for v in pick))
             for pick in product(*channel.receivers)]
 
 

@@ -38,6 +38,19 @@ def test_channels_are_validated_only_where_built():
     assert callers == ["channel.CompoundChannel.__new__", "cli.cmd_validate"]
 
 
+def test_a_regular_channel_is_a_compound_channel():
+    # it inherits the fields, the check and `_make`/`_replace`, and adds only
+    # its own check, its constructors and its readers
+    regular = next(node for node in ast.walk(MODULES["channel"])
+                   if isinstance(node, ast.ClassDef) and node.name == "RegularChannel")
+    assert [ast.unparse(base) for base in regular.bases] == ["CompoundChannel"]
+    defined = {node.name for node in regular.body if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"K", "receivers", "state_counts", "_make"}
+    classes = {node.name for node in ast.walk(MODULES["channel"])
+               if isinstance(node, ast.ClassDef)}
+    assert "_RegularFields" not in classes
+
+
 def test_lattices_are_found_where_rationals_are_scaled():
     # a potential graph carries its lattice, so Bellman-Ford
     # (`shortest_paths`), the certificates (`Verdict`, `improvable_users`),
@@ -110,6 +123,11 @@ def test_literal_lists_parse_only_in_the_channel_layer():
     assert callers == {"channel.parse_receivers"}
     assert _callers(MODULES["cli"], "parse_receivers") == ["load_channel_file"]
     assert _callers(MODULES["channel"], "parse_receivers") == ["CompoundChannel.from_lists"]
+
+
+def test_channel_files_are_loaded_once_per_call():
+    # `_run` loads the file and hands every handler `(args, cf)`
+    assert _callers(MODULES["cli"], "load_channel_file") == ["_run"]
 
 
 def test_unknown_algorithm_is_refused_in_one_place():
