@@ -145,18 +145,18 @@ def validate(channel: CompoundChannel) -> None:
     for k, states in enumerate(channel.receivers):
         if len(states) == 0:
             raise ChannelValidationError(
-                f"receiver {k} has an empty state set", receiver=k)
+                f"receiver {k + 1} has an empty state set", receiver=k)
         for l, vec in enumerate(states):
             if len(vec) != channel.K:
                 raise ChannelValidationError(
-                    f"receiver {k} state {l} has {len(vec)} entries, "
+                    f"receiver {k + 1} state {l + 1} has {len(vec)} entries, "
                     f"expected {channel.K}", receiver=k, state=l)
             for entry in vec:
                 # a rational's sign is its numerator's (the denominator is
                 # positive), which compares far faster than ``Fraction``s do
                 if getattr(entry, "numerator", entry) < 0:
                     raise ChannelValidationError(
-                        f"receiver {k} state {l} has negative strength "
+                        f"receiver {k + 1} state {l + 1} has negative strength "
                         f"{render_rational(parse_rational(entry))}", receiver=k, state=l)
 
 
@@ -272,7 +272,7 @@ def from_joint_set(matrices) -> CompoundChannel:
     for idx, m in enumerate(matrices):
         if len(m) != K:
             raise ChannelValidationError(
-                f"joint state {idx} has {len(m)} rows, expected {K}", state=idx)
+                f"joint state {idx + 1} has {len(m)} rows, expected {K}", state=idx)
     return CompoundChannel.from_lists(zip(*matrices))
 
 
@@ -287,25 +287,25 @@ def from_entrywise_sets(grid) -> RegularChannel:
     matrix = []
     for i, row in enumerate(grid):
         if not isinstance(row, (list, tuple)):
-            raise ChannelValidationError(f"row {i} must be a list or tuple", receiver=i)
+            raise ChannelValidationError(f"row {i + 1} must be a list or tuple", receiver=i)
         matrix.append([])
         for j, cell in enumerate(row):
             if not isinstance(cell, (list, tuple)):
                 raise ChannelValidationError(
-                    f"entry ({i},{j}) must be a list or tuple", receiver=i)
+                    f"entry ({i + 1},{j + 1}) must be a list or tuple", receiver=i)
             try:
                 values = [parse_rational(x) for x in cell]
             except (ValueError, TypeError) as exc:
                 raise ChannelValidationError(
-                    f"entry ({i},{j}): {exc}", receiver=i) from None
+                    f"entry ({i + 1},{j + 1}): {exc}", receiver=i) from None
             if not values:
                 raise ChannelValidationError(
-                    f"entry ({i},{j}) has an empty set", receiver=i)
+                    f"entry ({i + 1},{j + 1}) has an empty set", receiver=i)
             low = min(values)
             if low < 0:
                 raise ChannelValidationError(
-                    f"entry ({i},{j}) has negative strength {render_rational(low)}",
-                    receiver=i)
+                    f"entry ({i + 1},{j + 1}) has negative strength "
+                    f"{render_rational(low)}", receiver=i)
             matrix[-1].append(low if i == j else max(values))
     return RegularChannel.from_matrix(matrix)
 

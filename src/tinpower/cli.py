@@ -86,52 +86,52 @@ class ChannelFile(NamedTuple):
 
 
 def load_channel_file(path: str, *, validate_channel: bool = True) -> ChannelFile:
+    """The channel file at ``path``; each refusal is a ValueError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("channel document must be a JSON object")
+        for key in ("K", "receivers"):
+            if key not in doc:
+                raise ValueError(f'channel document is missing "{key}"')
+        if isinstance(doc["K"], bool) or not isinstance(doc["K"], int):
+            raise ValueError('"K" must be an integer')
+        if not isinstance(doc["receivers"], list):
+            raise ValueError('"receivers" must be an array')
+
+        def states():
+            # each receiver's shape is checked as the parser reaches it, so
+            # a file with several faults reports the first in document order
+            for idx, rx in enumerate(doc["receivers"], 1):
+                if not isinstance(rx, dict) or "states" not in rx:
+                    raise ValueError(f'receiver {idx} must be an object with "states"')
+                yield rx["states"]
+
+        build = CompoundChannel if validate_channel else CompoundChannel._unchecked
+        channel = build(doc["K"], parse_receivers(states()))
+        raw_targets = doc.get("targets", [])
+        if not isinstance(raw_targets, list):
+            raise ValueError('"targets" must be an array')
+        targets = []
+        for raw in raw_targets:
+            if not isinstance(raw, list):
+                raise ValueError(f"bad target {raw}: not an array")
+            try:
+                targets.append(gdof_tuple(raw, channel.K))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"bad target {raw}: {exc}") from None
+        name = doc.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError('"name" must be a string')
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: JSON parse error at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("channel document must be a JSON object")
-    for key in ("K", "receivers"):
-        if key not in doc:
-            raise ValueError(f'channel document is missing "{key}"')
-    if isinstance(doc["K"], bool) or not isinstance(doc["K"], int):
-        raise ValueError('"K" must be an integer')
-    if not isinstance(doc["receivers"], list):
-        raise ValueError('"receivers" must be an array')
-
-    def states():
-        # each receiver's shape is checked as the parser reaches it, so a
-        # file with several faults reports the first in document order
-        for idx, rx in enumerate(doc["receivers"], 1):
-            if not isinstance(rx, dict) or "states" not in rx:
-                raise ValueError(f'receiver {idx} must be an object with "states"')
-            yield rx["states"]
-
-    build = CompoundChannel if validate_channel else CompoundChannel._unchecked
-    try:
-        channel = build(doc["K"], parse_receivers(states()))
     except ChannelValidationError as exc:
         raise ValueError(f"{path}: invalid channel: {exc}") from None
-    raw_targets = doc.get("targets", [])
-    if not isinstance(raw_targets, list):
-        raise ValueError(f'{path}: "targets" must be an array')
-    targets = []
-    for raw in raw_targets:
-        if not isinstance(raw, list):
-            raise ValueError(f"{path}: bad target {raw}: not an array")
-        try:
-            targets.append(gdof_tuple(raw, channel.K))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"{path}: bad target {raw}: {exc}") from None
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f'{path}: "name" must be a string')
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return ChannelFile(channel, name or path, targets)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 class ChannelValidationError(ValueError):
     """A channel violates a structural invariant (dimensions, sign, emptiness).
 
-    ``receiver`` and ``state`` locate the offending entry (0-based) when known.
+    ``receiver`` and ``state`` locate it when known, from 0; its message counts from 1.
     """
 
     def __init__(self, message, *, receiver=None, state=None):

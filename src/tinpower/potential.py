@@ -30,7 +30,9 @@ def vertex_label(v: Vertex) -> str:
 
 
 class PotentialGraph(NamedTuple):
-    """Complete digraph over per-(user, state) vertices plus the source ``u``.
+    """Complete digraph over per-(user, state) vertices plus the source ``u``,
+    labelled in ``vertices`` (``u`` last); each edge ``(i, j, w)`` runs from
+    the vertex at index ``i`` to the one at ``j``.
 
     Edge lengths: zero between states of one user, (direct - cross) - d_k
     across users, direct - d_k into ``u``, and zero out of ``u``. Each is an
@@ -39,17 +41,16 @@ class PotentialGraph(NamedTuple):
 
     K: int
     vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[Vertex, Vertex, int], ...]
+    edges: tuple[tuple[int, int, int], ...]
     scale: int
 
     def dump(self, users=None) -> str:
         """Edge list as text, one "src dst length" line per edge, lengths as
         rationals; each user ``i`` is named as ``users[i]`` when given."""
-        def label(v):
-            return vertex_label(v if users is None or v == U else (users[v[0]], v[1]))
-
+        names = [vertex_label(v if users is None or v == U else (users[v[0]], v[1]))
+                 for v in self.vertices]
         return "\n".join(
-            f"{label(s)} {label(t)} "
+            f"{names[s]} {names[t]} "
             f"{render_rational(Fraction(w, self.scale))}" for s, t, w in self.edges)
 
 
@@ -84,12 +85,15 @@ def lattice_graph(scale, rows, counts, d) -> PotentialGraph:
         up = lattice // scale
         rows = [[x * up for x in row] for row in rows]
     pairs = [(k, l) for k in range(K) for l in range(counts[k])]
-    top = [vec[k] - need[k] for (k, _), vec in zip(pairs, rows)]  # direct - d_k
-    edges = [(v, w, 0) for v in pairs for w in pairs if w[0] == v[0] and w != v]
-    edges += [(v, w, x - vec[w[0]]) for v, vec, x in zip(pairs, rows, top)
-              for w in pairs if w[0] != v[0]]
-    edges += [(v, U, x) for v, x in zip(pairs, top)]
-    edges += [(U, v, 0) for v in pairs]
+    user = [k for k, _ in pairs]
+    ends = list(range(len(pairs)))  # each index one int object, shared by its edges
+    top = [vec[k] - need[k] for k, vec in zip(user, rows)]  # direct - d_k
+    edges = [(v, w, 0) for v in ends for w in ends if user[w] == user[v] and w != v]
+    edges += [(v, w, x - vec[user[w]]) for v, vec, x in zip(ends, rows, top)
+              for w in ends if user[w] != user[v]]
+    u = len(pairs)
+    edges += [(v, u, x) for v, x in zip(ends, top)]
+    edges += [(u, v, 0) for v in ends]
     return PotentialGraph(K, (*pairs, U), tuple(edges), lattice)
 
 
@@ -102,17 +106,13 @@ def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
     negative circuit is an acceptable witness; the one returned comes from
     walking the predecessor chain.
     """
-    index = {v: i for i, v in enumerate(graph.vertices)}
     n, scale = len(graph.vertices), graph.scale
-    edges = [(index[s], index[t], w) for s, t, w in graph.edges]
-    weight = {(s, t): w for s, t, w in edges}
-
     dist: list[int | None] = [None] * n
     pred: list[int | None] = [None] * n
-    dist[index[U]] = 0
+    dist[-1] = 0  # u is the last vertex
     for _ in range(n - 1):
         changed = False
-        for s, t, w in edges:
+        for s, t, w in graph.edges:
             if dist[s] is not None and (dist[t] is None or dist[s] + w < dist[t]):
                 dist[t] = dist[s] + w
                 pred[t] = s
@@ -121,7 +121,7 @@ def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
             break
 
     start = None
-    for s, t, w in edges:
+    for s, t, w in graph.edges:
         if dist[s] is not None and dist[s] + w < dist[t]:
             dist[t] = dist[s] + w
             pred[t] = s
@@ -138,18 +138,17 @@ def shortest_paths(graph: PotentialGraph) -> ShortestPathResult:
             cycle.append(walk)
             walk = pred[walk]
         cycle.reverse()  # predecessor walk runs against edge direction
-        length = sum(
-            weight[(cycle[i], cycle[(i + 1) % len(cycle)])]
-            for i in range(len(cycle)))
+        succ = dict(zip(cycle, cycle[1:] + cycle[:1]))
+        weight = {s: w for s, t, w in graph.edges if succ.get(s) == t}
+        length = sum(weight.values())
         if length >= 0:
             raise CertificateError("extracted circuit is not negative")
         return ShortestPathResult(
             False, None, tuple(graph.vertices[i] for i in cycle), Fraction(length, scale))
 
     values: list[set[int]] = [set() for _ in range(graph.K)]
-    for v, x in zip(graph.vertices, dist):
-        if v != U:
-            values[v[0]].add(x)
+    for v, x in zip(graph.vertices, dist[:-1]):  # every vertex but u
+        values[v[0]].add(x)
     for k, found in enumerate(values):
         if len(found) != 1:
             raise CertificateError(f"states of user {k + 1} disagree on distance")

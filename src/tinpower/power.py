@@ -86,11 +86,11 @@ class GsfpcTrace(NamedTuple):
 
 def _user_edges(graph) -> list[dict[int, int]]:
     """Each user's edges on a graph with one vertex per user, as ``{t: w}``:
-    its length ``w`` to user ``t``, and to ``u`` at ``t = K``."""
+    its length ``w`` to user ``t``, and to ``u`` (vertex ``K``) at ``t = K``."""
     out: list[dict[int, int]] = [{} for _ in range(graph.K)]
     for s, t, w in graph.edges:
-        if s != U:
-            out[s[0]][graph.K if t == U else t[0]] = w
+        if s < graph.K:
+            out[s][t] = w
     return out
 
 

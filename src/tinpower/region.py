@@ -221,14 +221,13 @@ class Verdict(NamedTuple):
             raise CertificateError("a value is off the graph's lattice")
         return [x.numerator for x in scaled]
 
-    def reduced_edges(self) -> list[tuple]:
+    def reduced_edges(self) -> list[tuple[int, int, int]]:
         """A "yes" verdict's edges ``(s, t, w + l[s] - l[t])`` under its
-        potentials (``l[u] = 0``), as ints on the graph's ``scale`` like
-        ``w``, with ``l`` taken :meth:`on_lattice`; as a circuit is as long
-        as the sum of its reduced lengths, these being >= 0 certifies the
-        "yes" (else raises, as do potentials off the lattice)."""
-        scaled = self.on_lattice(self.sp.l_dst)
-        level = {v: 0 if v == U else scaled[v[0]] for v in self.graph.vertices}
+        potentials (``l[u] = 0``, ``u`` being vertex K), as ints on the graph's
+        ``scale`` like ``w``, with ``l`` taken :meth:`on_lattice`; as a circuit
+        is as long as the sum of its reduced lengths, these being >= 0
+        certifies the "yes" (else raises, as do potentials off the lattice)."""
+        level = [*self.on_lattice(self.sp.l_dst), 0]
         edges = [(s, t, w + level[s] - level[t]) for s, t, w in self.graph.edges]
         if any(x < 0 for _, _, x in edges):
             raise CertificateError("the shortest-path potentials leave a negative edge")
@@ -285,17 +284,16 @@ def improvable_users(verdict: Verdict) -> tuple[int, ...]:
     vertex lies on one when it reaches itself in the transitive closure of
     those edges (Warshall's algorithm on bit rows).
     """
-    index = {v: i for i, v in enumerate(verdict.graph.vertices)}
-    reach = [0] * len(index)
+    K = verdict.graph.K
+    reach = [0] * (K + 1)  # u is vertex K
     for s, t, x in verdict.reduced_edges():
         if x == 0:
-            reach[index[s]] |= 1 << index[t]
+            reach[s] |= 1 << t
     for k in range(len(reach)):
         for i in range(len(reach)):
             if reach[i] >> k & 1:
                 reach[i] |= reach[k]
-    tight = {v[0] for v, i in index.items() if v != U and reach[i] >> i & 1}
-    return tuple(k for k in range(verdict.graph.K) if k not in tight)
+    return tuple(k for k in range(K) if not reach[k] >> k & 1)
 
 
 def pareto(channel, d, constraints: RegionConstraints | None = None) -> bool:
@@ -346,11 +344,10 @@ def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
     # Two vertices then differ by one of 2A + 1 values per coordinate, and
     # base B = 2A + 1 digits rank them by (sum, d1, ..., dK): one solve with
     # w_k = B^K + B^(K-1-k) finds the lexicographically greatest maximizer.
-    base = 2 * max(w for _, t, w in verdict.graph.edges if t == U) + 1
-    n = 2 * K + 1  # k_in is k, k_out is K + k, u is 2K
+    base = 2 * max(w for _, t, w in verdict.graph.edges if t == K) + 1
+    n = 2 * K + 1  # k_in is k, k_out is K + k, u (graph vertex K) is 2K
     arcs = [(k, K + k, 0) for k in range(K)]
-    arcs += [(n - 1 if s == U else K + s[0], n - 1 if t == U else t[0], x)
-             for s, t, x in verdict.reduced_edges()]
+    arcs += [(K + s, t if t < K else n - 1, x) for s, t, x in verdict.reduced_edges()]
     out, into = [[] for _ in range(n)], [[] for _ in range(n)]
     for i, (s, t, x) in enumerate(arcs):
         out[s].append((i, t, x, 1))

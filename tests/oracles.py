@@ -124,9 +124,11 @@ def grid_member_polyhedral(channel, d, step: Fraction = F("0.05"),
 
 
 def fraction_edges(graph) -> tuple:
-    """The edges of a ``tp.PotentialGraph`` with each int length ``w`` read
-    as the rational ``w / graph.scale`` it stands for."""
-    return tuple((s, t, F(w, graph.scale)) for s, t, w in graph.edges)
+    """The edges of a ``tp.PotentialGraph`` read through its vertices: each
+    end index as its vertex label, and each int length ``w`` as the
+    rational ``w / graph.scale`` it stands for."""
+    v = graph.vertices
+    return tuple((v[s], v[t], F(w, graph.scale)) for s, t, w in graph.edges)
 
 
 def _edge_weights(graph) -> dict:
@@ -177,18 +179,17 @@ def all_circuits_nonnegative(graph) -> bool:
 
 
 def bellman_ford_fractions(graph) -> tp.ShortestPathResult:
-    """``tp.shortest_paths`` on the ``Fraction`` lengths themselves
-    (:func:`fraction_edges`) rather than the graph's ints: the same
-    relaxation order, detection round, predecessor walk and consistency
+    """``tp.shortest_paths`` on the ``Fraction`` lengths ``w / graph.scale``
+    rather than the graph's ints: the same relaxation order over the same
+    vertex indices, detection round, predecessor walk and consistency
     checks, so the same result."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
     n = len(graph.vertices)
-    edges = [(index[s], index[t], w) for s, t, w in fraction_edges(graph)]
+    edges = [(s, t, F(w, graph.scale)) for s, t, w in graph.edges]
     weight = {(s, t): w for s, t, w in edges}
 
     dist: list[Fraction | None] = [None] * n
     pred: list[int | None] = [None] * n
-    dist[index[tp.U]] = F(0)
+    dist[graph.vertices.index(tp.U)] = F(0)
     for _ in range(n - 1):
         changed = False
         for s, t, w in edges:
@@ -227,7 +228,7 @@ def bellman_ford_fractions(graph) -> tp.ShortestPathResult:
 
     l_dst = []
     for k in range(graph.K):
-        values = {dist[index[v]] for v in graph.vertices if v != tp.U and v[0] == k}
+        values = {x for v, x in zip(graph.vertices, dist) if v != tp.U and v[0] == k}
         if len(values) != 1:
             raise tp.CertificateError(f"states of user {k + 1} disagree on distance")
         l_dst.append(values.pop())
@@ -345,8 +346,9 @@ def regular_counterpart_fractions(channel) -> tuple[tuple[Fraction, ...], ...]:
 
 def full_graph_fractions(channel, d) -> tp.PotentialGraph:
     """``tp.build_full`` with every edge length computed on ``Fraction``s,
-    edges in the same order, and held as ints on the lcm of the lengths'
-    own denominators."""
+    edges written by their ends' labels in the same order and then indexed
+    by the labels' positions in ``vertices``, and held as ints on the lcm
+    of the lengths' own denominators."""
     d = tp.gdof_tuple(d, channel.K)
     K, receivers = channel.K, channel.receivers
     vertices = [(k, l) for k in range(K) for l in range(len(receivers[k]))]
@@ -371,8 +373,9 @@ def full_graph_fractions(channel, d) -> tp.PotentialGraph:
         for l in range(len(receivers[k])):
             edges.append((tp.U, (k, l), F(0)))
     scale = lcm(*(w.denominator for _, _, w in edges))
-    return tp.PotentialGraph(K, tuple(vertices),
-                             tuple((s, t, _scaled(w, scale)) for s, t, w in edges), scale)
+    index = {v: i for i, v in enumerate(vertices)}
+    return tp.PotentialGraph(K, tuple(vertices), tuple(
+        (index[s], index[t], _scaled(w, scale)) for s, t, w in edges), scale)
 
 
 def gsfpc_step_per_state(channel, r, d) -> tuple[Fraction, ...]:
@@ -419,7 +422,7 @@ def least_allocation_by_distances(channel, d) -> tuple[Fraction, ...]:
     (``r_u = 0``), so ``r_k >= -(k's distance to u)``, and that bound is
     met. The distances to ``u`` are :func:`bellman_ford_fractions` from
     ``u`` on the :func:`full_graph_fractions` graph with every edge
-    reversed."""
+    reversed: its two end indices swapped, over the same vertices."""
     graph = full_graph_fractions(channel, d)
     reversed_graph = tp.PotentialGraph(
         graph.K, graph.vertices, tuple((t, s, w) for s, t, w in graph.edges), graph.scale)
@@ -500,13 +503,13 @@ def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
         raise tp.EmptyRegionError(EMPTY_REGION)
     rows = []
     for src, dst, x in verdict.reduced_edges():
-        if src == tp.U:
+        if src == K:  # u
             continue
         coeffs = [F(0)] * (2 * K)
-        coeffs[src[0]] += 1
-        coeffs[K + src[0]] += 1
-        if dst != tp.U:
-            coeffs[K + dst[0]] -= 1
+        coeffs[src] += 1
+        coeffs[K + src] += 1
+        if dst != K:
+            coeffs[K + dst] -= 1
         rows.append((coeffs, F(x, verdict.graph.scale)))
     return rows
 

@@ -38,7 +38,7 @@ def test_validate_negative_entry_of_each_number_type(entry, shown):
     with pytest.raises(tp.ChannelValidationError) as err:
         tp.CompoundChannel(2, (((1, 0.5), (F(1), entry)), ((0, 1),)))
     assert (err.value.receiver, err.value.state, str(err.value)) == (
-        0, 1, f"receiver 0 state 1 has negative strength {shown}")
+        0, 1, f"receiver 1 state 2 has negative strength {shown}")
 
 
 def test_validate_rejects_bool_user_count():
@@ -55,7 +55,7 @@ def test_validate_empty_state_set():
 @pytest.mark.parametrize("build, receiver, state, message", [
     (lambda valid: tp.CompoundChannel(2, valid.receivers[:1] + (
         ((F(0), F(1)), (F(1, 2), F(-1, 3))),)),
-     1, 1, "receiver 1 state 1 has negative strength -1/3"),
+     1, 1, "receiver 2 state 2 has negative strength -1/3"),
     (lambda valid: valid._replace(K=3), None, None, "expected 3 receivers, got 2"),
     (lambda valid: tp.CompoundChannel._make((3, valid.receivers)), None, None,
      "expected 3 receivers, got 2"),
@@ -271,12 +271,12 @@ def test_converters_reject_malformed_sets(convert, data):
 
 
 @pytest.mark.parametrize("grid, receiver, message", [
-    ([["12"]], 0, "entry (0,0) must be a list or tuple"),
-    ([[["1"], ["0"]], None], 1, "row 1 must be a list or tuple"),
+    ([["12"]], 0, "entry (1,1) must be a list or tuple"),
+    ([[["1"], ["0"]], None], 1, "row 2 must be a list or tuple"),
     ([[["1"], ["0"]], [["0"], [None]]], 1,
-     "entry (1,1): cannot interpret NoneType as a rational"),
+     "entry (2,2): cannot interpret NoneType as a rational"),
     ([[["1"], ["0", "x"]], [["0"], ["1"]]], 0,
-     "entry (0,1): not a decimal or p/q rational: 'x'"),
+     "entry (1,2): not a decimal or p/q rational: 'x'"),
 ], ids=["string-cell", "null-row", "null-literal", "bad-literal"])
 def test_entrywise_refusals_name_the_entry(grid, receiver, message):
     # a string cell is no set, though it iterates: it is refused, not read

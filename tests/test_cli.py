@@ -59,7 +59,7 @@ def test_validate_negative_strength(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["valid"] is False
     assert doc["error"]["receiver"] == 1
-    assert doc["error"]["message"] == "receiver 0 state 0 has negative strength -0.5"
+    assert doc["error"]["message"] == "receiver 1 state 1 has negative strength -0.5"
 
 
 def test_validate_dimension_error(tmp_path, capsys):
@@ -75,29 +75,41 @@ def test_validate_dimension_error(tmp_path, capsys):
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"K": 2,')
-    code, _, err = run(capsys, "validate", "--channel", str(path))
-    assert code == 2
-    assert "line 1" in err
+    assert run(capsys, "validate", "--channel", str(path)) == (
+        2, "", f"error: {path}: JSON parse error at line 1, column 9: "
+               "Expecting property name enclosed in double quotes\n")
 
 
 TWO_USERS = [{"states": [["1", "0.5"]]}, {"states": [["0.5", "1"]]}]
 
 
-@pytest.mark.parametrize("doc, field", [
-    ({"K": 2, "receivers": TWO_USERS, "targets": 5}, '"targets"'),
-    ({"K": 2, "receivers": TWO_USERS, "targets": [None]}, "bad target None"),
-    ({"K": 2, "receivers": TWO_USERS, "targets": [[{"a": 1}]]}, "bad target"),
-    ({"K": 2, "receivers": [{"states": 3}, TWO_USERS[1]]}, '"states"'),
-    ({"K": True, "receivers": [{"states": [["1"]]}]}, '"K"'),
+# every refusal of a parsed document names the file
+@pytest.mark.parametrize("doc, message", [
+    ([], "channel document must be a JSON object"),
+    ({"receivers": TWO_USERS}, 'channel document is missing "K"'),
+    ({"K": 2}, 'channel document is missing "receivers"'),
+    ({"K": True, "receivers": [{"states": [["1"]]}]}, '"K" must be an integer'),
+    ({"K": 2, "receivers": {}}, '"receivers" must be an array'),
+    ({"K": 2, "receivers": [5, TWO_USERS[1]]}, 'receiver 1 must be an object with "states"'),
+    ({"K": 2, "receivers": [{"states": 3}, TWO_USERS[1]]},
+     'receiver 1: "states" must be an array'),
+    ({"K": 2, "receivers": [{"states": ["12"]}, TWO_USERS[1]]},
+     "receiver 1 has a non-array state"),
+    ({"K": 2, "receivers": [{"states": [["1", "x"]]}, TWO_USERS[1]]},
+     "receiver 1: not a decimal or p/q rational: 'x'"),
+    ({"K": 2, "receivers": TWO_USERS, "targets": 5}, '"targets" must be an array'),
+    ({"K": 2, "receivers": TWO_USERS, "targets": [None]}, "bad target None: not an array"),
+    ({"K": 2, "receivers": TWO_USERS, "targets": [[{"a": 1}]]},
+     "bad target [{'a': 1}]: cannot interpret dict as a rational"),
     ({"name": {"a": 1}, "K": 2, "receivers": TWO_USERS}, '"name" must be a string'),
-], ids=["targets-number", "target-null", "target-object", "states-number", "K-bool",
-        "name-object"])
+], ids=["array", "no-K", "no-receivers", "K-bool", "receivers-object", "receiver-number",
+        "states-number", "state-string", "literal", "targets-number", "target-null",
+        "target-object", "name-object"])
 @pytest.mark.parametrize("command", ["validate", "counterpart"])
-def test_malformed_documents_exit_2(tmp_path, capsys, doc, field, command):
+def test_malformed_documents_exit_2(tmp_path, capsys, doc, message, command):
     path = write(tmp_path, "malformed.json", doc)
-    code, out, err = run(capsys, command, "--channel", path, "--json")
-    assert code == 2 and out == ""
-    assert field in err
+    assert run(capsys, command, "--channel", path, "--json") == (
+        2, "", f"error: {path}: {message}\n")
 
 
 @pytest.mark.parametrize("name", [None, ""])
@@ -108,8 +120,9 @@ def test_null_or_empty_name_falls_back_to_the_path(tmp_path, capsys, name):
 
 
 def test_missing_file_exits_2(capsys):
-    code, _, err = run(capsys, "validate", "--channel", "/no/such/file.json")
-    assert code == 2
+    path = "/no/such/file.json"
+    assert run(capsys, "validate", "--channel", path) == (
+        2, "", f"error: {path}: [Errno 2] No such file or directory: '{path}'\n")
 
 
 @pytest.mark.parametrize("command", ["validate", "tin-check"])
@@ -655,7 +668,8 @@ def test_power_unknown_alg_is_refused_before_the_dump(capsys):
 
 def parse_dump(text) -> tp.PotentialGraph:
     """The graph of a ``--debug-graph`` dump, its users renumbered 0, 1, ...
-    in the order of their printed numbers."""
+    in the order of their printed numbers and its vertices indexed in the
+    order they first start an edge."""
     rows = [line.split() for line in text.splitlines()]
     users = sorted({int(v[1:].partition("[")[0]) for row in rows for v in row[:2] if v != tp.U})
 
@@ -665,10 +679,11 @@ def parse_dump(text) -> tp.PotentialGraph:
 
     lengths = [F(w) for *_, w in rows]
     scale = math.lcm(*(w.denominator for w in lengths))
-    edges = tuple((vertex(s), vertex(t), int(w * scale))
+    index = {vertex(s): None for s, _, _ in rows}
+    index = {v: i for i, v in enumerate(index)}
+    edges = tuple((index[vertex(s)], index[vertex(t)], int(w * scale))
                   for (s, t, _), w in zip(rows, lengths))
-    return tp.PotentialGraph(len(users), tuple({s: None for s, _, _ in edges}),
-                             edges, scale)
+    return tp.PotentialGraph(len(users), tuple(index), edges, scale)
 
 
 def test_power_debug_graph_dumps_the_graph_it_decides_on(tmp_path, capsys):
@@ -721,12 +736,12 @@ def test_inconsistent_bellman_ford_exits_3(capsys, monkeypatch):
     # different distances
     import tinpower.region as region
 
-    a, b = (0, 0), (1, 0)
+    a, b, u = 0, 1, 2  # vertex indices; u is last
     graphs = [
-        tp.PotentialGraph(2, (a, b, tp.U), (
-            (tp.U, a, 0), (tp.U, b, 0), (a, b, -5), (b, a, 1), (a, b, 5)), 1),
+        tp.PotentialGraph(2, ((0, 0), (1, 0), tp.U), (
+            (u, a, 0), (u, b, 0), (a, b, -5), (b, a, 1), (a, b, 5)), 1),
         tp.PotentialGraph(1, ((0, 0), (0, 1), tp.U), (
-            (tp.U, (0, 0), 0), (tp.U, (0, 1), -1)), 1),
+            (u, a, 0), (u, b, -1)), 1),
     ]
     for graph, message in zip(graphs, ["is not negative", "user 1 disagree"]):
         monkeypatch.setattr(region, "lattice_graph", lambda *args: graph)
@@ -1045,7 +1060,7 @@ def test_hostile_literals_refused_after_lookalikes(tmp_path, capsys, state, mess
     path = write(tmp_path, "hostile.json", {
         "K": 2, "receivers": [{"states": [[1, "0.5"]]}, {"states": [state]}]})
     assert run(capsys, "validate", "--channel", path) == (
-        2, "", f"error: receiver 2: {message}\n")
+        2, "", f"error: {path}: receiver 2: {message}\n")
 
 
 def test_equal_literals_parse_to_equal_entries(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     all_circuits_nonnegative,
     bellman_ford_fractions,
     fraction_edges,
+    full_graph_fractions,
     min_path_by_enumeration,
 )
 
@@ -166,6 +168,42 @@ def test_shortest_paths_match_fraction_loop_seeded():
             sp = tp.shortest_paths(graph)
             assert sp == bellman_ford_fractions(graph)
             assert sp.feasible == feasible
+
+
+def test_edges_index_the_vertices_seeded():
+    # each edge is (i, j, w) with i and j indices into `vertices`, u last;
+    # read through the labels, the full, reduced and decision graphs are
+    # the Fraction reference's edges, in order
+    rng = random.Random(25)
+    for K in (1, 2, 3, 5, 8, 13):
+        ch = random_compound(rng, K=K)
+        d = [grid_value(rng, F(1), F(1, 7)) for _ in range(K)]
+        cp = tp.regular_counterpart(ch)
+        for graph, reference in ((tp.build_full(ch, d), ch), (tp.build_full(cp, d), cp),
+                                 (tp.decide(ch, d).graph, cp)):
+            n = len(graph.vertices)
+            assert graph.vertices[-1] == U
+            assert all(type(s) is int and type(t) is int and 0 <= s < n and 0 <= t < n
+                       and s != t for s, t, _ in graph.edges)
+            assert fraction_edges(graph) == fraction_edges(full_graph_fractions(reference, d))
+
+
+def test_shortest_paths_allocates_little_beside_its_graph():
+    # Bellman-Ford relaxes the graph's own edges: it copies no edge list and
+    # keeps no label or weight table beside them
+    K = 200
+    cp = tp.regular_counterpart(random_tin_optimal(random.Random(26), K=K, max_states=1))
+    tracemalloc.start()
+    try:
+        graph = tp.build_full(cp, [F(1, 100)] * K)
+        size, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sp = tp.shortest_paths(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sp.feasible
+    assert peak <= 1.5 * size, (peak, size)
 
 
 def test_states_of_one_user_share_distance(comp2):

@@ -273,7 +273,7 @@ def test_reduced_edges_are_ints_on_the_graph_lattice(asym3):
     # potentials off that lattice cannot certify anything
     verdict = tp.decide(asym3, [1, 1, 1])
     graph, l_dst = verdict.graph, verdict.sp.l_dst
-    level = {v: F(0) if v == tp.U else l_dst[v[0]] for v in graph.vertices}
+    level = [F(0) if v == tp.U else l_dst[v[0]] for v in graph.vertices]
     assert verdict.reduced_edges() == [
         (s, t, (F(w, graph.scale) + level[s] - level[t]) * graph.scale)
         for s, t, w in graph.edges]

@@ -104,6 +104,30 @@ def test_graph_lengths_become_rationals_only_where_reported():
     assert scopes == {"PotentialGraph.dump", "shortest_paths"}
 
 
+def test_only_the_graph_writer_indexes_vertices():
+    # `lattice_graph` writes each edge by its ends' indices into `vertices`;
+    # the graph's readers in `potential`, `region` and `power` use those
+    # indices as written, read the labels only to report them (the dump,
+    # the circuit, each user's distance) and key no table by a label
+    readers, keyed = set(), []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == "vertices":
+                readers.add(".".join(scope))
+            elif isinstance(child, ast.DictComp) and "vertices" in ast.unparse(child):
+                keyed.append(".".join(scope))
+            visit(child, inner)
+
+    for module in ("potential", "region", "power"):
+        visit(MODULES[module], (module,))
+    assert readers == {"potential.PotentialGraph.dump", "potential.shortest_paths"}
+    assert keyed == []
+
+
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_private_name_crosses_modules(module):
     imported = {
