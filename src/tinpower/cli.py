@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import chain, islice, product, starmap
@@ -513,8 +514,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_exponents(argv) -> list[str]:
+    """``argv`` with ``--alloc -0.5,0`` written ``--alloc=-0.5,0``. argparse
+    takes a value that starts with ``-`` for a flag unless it is one plain
+    number, and an exponent list starts so whenever r1 < 0."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--alloc" and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_attach_exponents(sys.argv[1:] if argv is None else argv))
     try:
         code = _run(args)
         sys.stdout.flush()

@@ -53,6 +53,13 @@ class PotentialGraph(NamedTuple):
             f"{names[s]} {names[t]} "
             f"{render_rational(Fraction(w, self.scale))}" for s, t, w in self.edges)
 
+    def on_lattice(self, values) -> list[int]:
+        """Each of ``values`` times ``scale``, an int (else raises)."""
+        scaled = [x * self.scale for x in values]
+        if any(x.denominator != 1 for x in scaled):
+            raise CertificateError("a value is off the graph's lattice")
+        return [x.numerator for x in scaled]
+
 
 class ShortestPathResult(NamedTuple):
     """Either per-user shortest-path lengths from ``u`` (all <= 0), or a

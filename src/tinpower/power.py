@@ -102,10 +102,10 @@ def _gsfpc(verdict) -> tuple[tuple[Fraction, ...], GsfpcTrace]:
     k's edges ``k -> t``, with ``x_u = 0``. From the shortest-path start the
     iterates decrease and reach an exact fixed point, which is locally
     optimal and dominates every local optimum below the start. Rounds run on
-    the graph's int lengths, from the start :meth:`~Verdict.on_lattice`.
+    the graph's int lengths, from the verdict's int potentials.
     """
     scale, out = verdict.graph.scale, _user_edges(verdict.graph)
-    x = [*verdict.on_lattice(verdict.sp.l_dst), 0]
+    x = [*verdict.potentials]
     iterates = [verdict.sp.l_dst]
     for n in range(GSFPC_MAX_ITERATIONS):
         nxt = [*(max([x[t] - w for t, w in edges.items()]) for edges in out), 0]
@@ -153,7 +153,7 @@ def _ggpc(verdict, d) -> tuple[tuple[Fraction, ...], GgpcTrace]:
     ``min(cap[k], moving[k])`` is exact. Each update costs O(K).
     """
     K, scale, out = verdict.graph.K, verdict.graph.scale, _user_edges(verdict.graph)
-    need, r = verdict.on_lattice(d), [*verdict.on_lattice(verdict.sp.l_dst), 0]
+    need, r = verdict.graph.on_lattice(d), [*verdict.potentials]
     cap = [edges[K] for edges in out]
     moving = [min([w - r[t] for t, w in edges.items()]) for edges in out]
     active = set(range(K))

@@ -207,66 +207,58 @@ def circuit_bound(cp, circuit) -> Constraint:
 
 class Verdict(NamedTuple):
     """Bellman-Ford's answer on the regular counterpart's potential graph,
-    whose lengths are ints on its ``scale``; ``sp`` reports rationals. For a
-    "no", ``bound`` is the bound its circuit names (:func:`circuit_bound`)."""
+    whose lengths are ints on its ``scale``; ``sp`` reports rationals. A
+    "yes" carries ``potentials``, its shortest-path lengths as ints on that
+    lattice with ``u``'s 0 last (``u`` being vertex K), under which no edge's
+    reduced length ``w + p[s] - p[t]`` is negative; a "no" carries ``bound``,
+    the bound its circuit names (:func:`circuit_bound`). :func:`_decide`
+    checks both where it builds them."""
 
     graph: PotentialGraph
     sp: ShortestPathResult
     bound: Constraint | None
-
-    def on_lattice(self, values) -> list[int]:
-        """Each of ``values`` times the graph's ``scale``, an int (else raises)."""
-        scaled = [x * self.graph.scale for x in values]
-        if any(x.denominator != 1 for x in scaled):
-            raise CertificateError("a value is off the graph's lattice")
-        return [x.numerator for x in scaled]
-
-    def reduced_edges(self) -> list[tuple[int, int, int]]:
-        """A "yes" verdict's edges ``(s, t, w + l[s] - l[t])`` under its
-        potentials (``l[u] = 0``, ``u`` being vertex K), as ints on the graph's
-        ``scale`` like ``w``, with ``l`` taken :meth:`on_lattice`; as a circuit
-        is as long as the sum of its reduced lengths, these being >= 0
-        certifies the "yes" (else raises, as do potentials off the lattice)."""
-        level = [*self.on_lattice(self.sp.l_dst), 0]
-        edges = [(s, t, w + level[s] - level[t]) for s, t, w in self.graph.edges]
-        if any(x < 0 for _, _, x in edges):
-            raise CertificateError("the shortest-path potentials leave a negative edge")
-        return edges
+    potentials: tuple[int, ...] | None
 
 
 def decide(channel, d) -> Verdict:
     """Is ``d`` in the region with every user active? The one decision route:
     the counterpart is computed once (:func:`counterpart_lattice`) and serves
-    the graph and the bound, which ``d`` must strictly violate (else
-    :class:`CertificateError`)."""
+    the graph and the bound, which ``d`` must strictly violate. Either answer
+    is certified here (else :class:`CertificateError`)."""
     return _decide(counterpart_lattice(channel), gdof_tuple(d, channel.K))
 
 
 def _decide(cp, d) -> Verdict:
-    """:func:`decide` on the counterpart ``cp`` at the GDoF tuple ``d``."""
+    """:func:`decide` on the counterpart ``cp`` at the GDoF tuple ``d``. As a
+    circuit is as long as the sum of its reduced lengths, a "yes" is
+    certified by one pass over the edges under its potentials (a negative
+    reduced length, or potentials off the graph's lattice, raise)."""
     scale, rows = cp
     graph = lattice_graph(scale, rows, (1,) * len(rows), d)
     sp = shortest_paths(graph)
-    bound = None if sp.feasible else circuit_bound(cp, sp.negative_cycle)
-    if bound is not None and bound.holds(d):
+    if sp.feasible:
+        p = (*graph.on_lattice(sp.l_dst), 0)
+        for s, t, w in graph.edges:
+            if w + p[s] < p[t]:
+                raise CertificateError("the shortest-path potentials leave a negative edge")
+        return Verdict(graph, sp, None, p)
+    bound = circuit_bound(cp, sp.negative_cycle)
+    if bound.holds(d):
         raise CertificateError(
             f"the target satisfies the circuit's bound {bound.export_line(len(rows))}")
-    return Verdict(graph, sp, bound)
+    return Verdict(graph, sp, bound, None)
 
 
 def member(channel, d, constraints: RegionConstraints | None = None,
            ) -> tuple[bool, Constraint | None]:
     """Region membership; on failure also returns one violated inequality.
 
-    Decided by :func:`decide`, whose negative circuit names the violated
-    bound and whose "yes" is checked by :meth:`Verdict.reduced_edges`. An
-    explicit ``constraints`` list is scanned instead, in order (the
-    enumeration reference).
+    Decided by :func:`decide`, which certifies either answer; a "no" names
+    the bound its negative circuit violates. An explicit ``constraints``
+    list is scanned instead, in order (the enumeration reference).
     """
     if constraints is None:
         verdict = decide(channel, d)
-        if verdict.sp.feasible:
-            verdict.reduced_edges()
         return verdict.sp.feasible, verdict.bound
     target = gdof_tuple(d, constraints.K)
     for c in constraints.constraints:
@@ -279,15 +271,15 @@ def improvable_users(verdict: Verdict) -> tuple[int, ...]:
     """The users a member target can still raise alone: those on no tight
     region bound, i.e. on no zero-length circuit of its potential graph.
 
-    Every reduced edge length is >= 0 (:meth:`Verdict.reduced_edges`), so
-    the zero-length circuits are the circuits of zero-reduced edges. A
-    vertex lies on one when it reaches itself in the transitive closure of
-    those edges (Warshall's algorithm on bit rows).
+    Every reduced edge length under the verdict's potentials is >= 0
+    (:func:`decide` checks it), so the zero-length circuits are the circuits
+    of zero-reduced edges. A vertex lies on one when it reaches itself in
+    the transitive closure of those edges (Warshall's algorithm on bit rows).
     """
-    K = verdict.graph.K
+    K, p = verdict.graph.K, verdict.potentials
     reach = [0] * (K + 1)  # u is vertex K
-    for s, t, x in verdict.reduced_edges():
-        if x == 0:
+    for s, t, w in verdict.graph.edges:
+        if w + p[s] == p[t]:
             reach[s] |= 1 << t
     for k in range(len(reach)):
         for i in range(len(reach)):
@@ -300,8 +292,9 @@ def pareto(channel, d, constraints: RegionConstraints | None = None) -> bool:
     """True when no single coordinate can be increased while staying in the
     region, i.e. every user participates in some tight constraint.
 
-    Decided by :func:`decide` and :func:`improvable_users`; an explicit
-    ``constraints`` list is scanned instead (the enumeration reference).
+    Decided by :func:`decide`, which certifies its answer, and on a "yes"
+    by :func:`improvable_users`; an explicit ``constraints`` list is scanned
+    instead (the enumeration reference).
     """
     if constraints is None:
         verdict = decide(channel, d)
@@ -328,12 +321,12 @@ def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
     the least cost of a circulation on the d = 0 graph with each user split
     into ``k_in -> k_out`` (cost 0, flow at least ``w_k``). The other arcs,
     ``k_out -> j_in``, ``k_out -> u`` and ``u -> k_in``, cost their reduced
-    lengths (:meth:`Verdict.reduced_edges`), which are >= 0, so the
-    potentials ``p`` start at 0. Successive shortest paths send each
-    ``w_k`` from ``k_out`` back to a ``k_in`` by Dijkstra on the reduced
-    costs (Ahuja, Magnanti and Orlin, *Network Flows*, 1993); the final
-    potentials are optimal, and ``d_k = p(k_in) - p(k_out)`` on the graph's
-    lattice."""
+    lengths under the d = 0 verdict's potentials, which :func:`decide` has
+    checked to be >= 0, so the potentials ``p`` start at 0. Successive
+    shortest paths send each ``w_k`` from ``k_out`` back to a ``k_in`` by
+    Dijkstra on the reduced costs (Ahuja, Magnanti and Orlin, *Network
+    Flows*, 1993); the final potentials are optimal, and ``d_k = p(k_in) -
+    p(k_out)`` on the graph's lattice."""
     K = channel.K
     verdict = decide(channel, (ZERO,) * K)
     if not verdict.sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
@@ -347,7 +340,9 @@ def sum_gdof(channel) -> tuple[Fraction, tuple[Fraction, ...]]:
     base = 2 * max(w for _, t, w in verdict.graph.edges if t == K) + 1
     n = 2 * K + 1  # k_in is k, k_out is K + k, u (graph vertex K) is 2K
     arcs = [(k, K + k, 0) for k in range(K)]
-    arcs += [(K + s, t if t < K else n - 1, x) for s, t, x in verdict.reduced_edges()]
+    level = verdict.potentials
+    arcs += [(K + s, t if t < K else n - 1, w + level[s] - level[t])
+             for s, t, w in verdict.graph.edges]
     out, into = [[] for _ in range(n)], [[] for _ in range(n)]
     for i, (s, t, x) in enumerate(arcs):
         out[s].append((i, t, x, 1))
@@ -385,8 +380,8 @@ def symmetric_gdof(channel) -> Fraction:
     :func:`decide`, every decision on the one counterpart computed here. From
     its least direct strength, each "no" names a bound that (t, ..., t)
     violates, and t drops to that bound's rhs per user, strictly below the
-    last t. The first "yes" is checked by its reduced edges, and the bound
-    that set t must be tight at it, so no larger t is in the region (else
+    last t. The first "yes", certified by :func:`decide`, ends it: the bound
+    that set t must be tight there, so no larger t is in the region (else
     :class:`CertificateError`). A t below 0 means the region is empty."""
     cp = counterpart_lattice(channel)
     (scale, a), K = cp, channel.K
@@ -395,7 +390,6 @@ def symmetric_gdof(channel) -> Fraction:
     while t >= 0:
         verdict = _decide(cp, (t,) * K)
         if verdict.sp.feasible:
-            verdict.reduced_edges()
             if bound.slack((t,) * K) != 0:
                 raise CertificateError(f"the bound {bound.export_line(K)} "
                                        f"is not tight at {render_rational(t)}")

@@ -501,8 +501,9 @@ def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
     verdict = tp.decide(channel, (F(0),) * K)
     if not verdict.sp.feasible:  # a negative circuit at d = 0 is a negative sum bound
         raise tp.EmptyRegionError(EMPTY_REGION)
+    graph, l0 = verdict.graph, (*verdict.sp.l_dst, F(0))  # u is vertex K
     rows = []
-    for src, dst, x in verdict.reduced_edges():
+    for src, dst, w in graph.edges:
         if src == K:  # u
             continue
         coeffs = [F(0)] * (2 * K)
@@ -510,7 +511,7 @@ def _potential_rows(channel) -> list[tuple[list[Fraction], Fraction]]:
         coeffs[K + src] += 1
         if dst != K:
             coeffs[K + dst] -= 1
-        rows.append((coeffs, F(x, verdict.graph.scale)))
+        rows.append((coeffs, F(w, graph.scale) + l0[src] - l0[dst]))
     return rows
 
 

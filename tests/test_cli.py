@@ -707,26 +707,29 @@ def test_power_debug_graph_dumps_the_graph_it_decides_on(tmp_path, capsys):
 
 def test_certificate_failure_exits_3(capsys, monkeypatch):
     # Bellman-Ford cannot return a wrong verdict for real inputs, so force
-    # one through the one decision route: a start from which even ggpc
-    # misses the target, then a circuit whose bound the target satisfies;
-    # every command that reads a verdict must refuse both
+    # one through the one decision route: potentials that leave a negative
+    # reduced length, then a circuit whose bound the target satisfies;
+    # `decide` refuses both before any command reads them
     import tinpower.region as region
 
     bogus = [
-        tp.ShortestPathResult(True, (F(-10), F(-10), F(0)), None, None),
-        tp.ShortestPathResult(False, None, ((0, 0), (1, 0)), F(-1)),
+        (tp.ShortestPathResult(True, (F(-10), F(-10), F(0)), None, None),
+         "the shortest-path potentials leave a negative edge"),
+        (tp.ShortestPathResult(False, None, ((0, 0), (1, 0)), F(-1)),
+         "the target satisfies the circuit's bound"),
     ]
     for command, *flags in [["feasible"], ["pareto"], ["power", "--alg", "sp"],
                             ["power", "--alg", "ggpc"],
                             ["rates", "--alg", "ggpc", "--P", "100"]]:
-        for sp in bogus:
+        for sp, message in bogus:
             monkeypatch.setattr(region, "shortest_paths", lambda graph: sp)
             code, out, err = run(
                 capsys, command, "--channel", str(CHANNELS / "asym3.json"),
                 "--target", "1,1,1", *flags)
             assert code == 3, (command, flags, sp.feasible)
             assert out == ""
-            assert "internal check failure" in err and "Traceback" not in err
+            assert err.startswith(f"internal check failure: {message}")
+            assert "Traceback" not in err
 
 
 def test_inconsistent_bellman_ford_exits_3(capsys, monkeypatch):
@@ -888,6 +891,21 @@ def test_rates_explicit_zero_allocation_baseline_only(capsys):
     rows = out.splitlines()[1:]
     assert all(row.startswith("full_power,") for row in rows)
     assert len(rows) == 4
+
+
+def test_rates_alloc_takes_a_leading_negative_exponent(capsys):
+    # exponents are <= 0, so `--alloc r1,...` starts with `-` whenever r1 < 0;
+    # the space-separated form reads as `--alloc=...`, and a flag that
+    # follows `--alloc` is still no value
+    head = ["rates", "--channel", str(CHANNELS / "mix3.json")]
+    joined = run(capsys, *head, "--alloc=-0.5,0,0", "--P", "10")
+    assert joined[0] == 0 and joined[1].startswith("alloc,P,user,rate")
+    assert run(capsys, *head, "--alloc", "-0.5,0,0", "--P", "10") == joined
+    assert run(capsys, *head, "--alloc", "-.5,0,0", "--P", "10") == joined
+    with pytest.raises(SystemExit) as exc:
+        main([*head, "--alloc", "--P", "10"])
+    assert exc.value.code == 2
+    assert "argument --alloc: expected one argument" in capsys.readouterr().err
 
 
 def test_rates_uses_file_targets(capsys):

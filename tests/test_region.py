@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations, product
 from pathlib import Path
@@ -268,19 +269,42 @@ def test_symmetric_gdof_checks_its_last_bound(asym3, monkeypatch):
         tp.symmetric_gdof(asym3)
 
 
-def test_reduced_edges_are_ints_on_the_graph_lattice(asym3):
-    # w + l[s] - l[t] with the potentials scaled onto the graph's lattice;
-    # potentials off that lattice cannot certify anything
+def test_a_yes_carries_checked_int_potentials(asym3, monkeypatch):
+    # a "yes" carries its shortest-path lengths scaled onto the graph's
+    # lattice, u's 0 last, and `_decide` refuses potentials off that lattice
+    # or under which an edge's reduced length w + p[s] - p[t] is negative
+    import tinpower.region as region
+
     verdict = tp.decide(asym3, [1, 1, 1])
-    graph, l_dst = verdict.graph, verdict.sp.l_dst
-    level = [F(0) if v == tp.U else l_dst[v[0]] for v in graph.vertices]
-    assert verdict.reduced_edges() == [
-        (s, t, (F(w, graph.scale) + level[s] - level[t]) * graph.scale)
-        for s, t, w in graph.edges]
-    assert all(type(x) is int for *_, x in verdict.reduced_edges())
-    bogus = verdict._replace(sp=verdict.sp._replace(l_dst=(F(-1, 3 * graph.scale), 0, 0)))
-    with pytest.raises(tp.CertificateError, match="off the graph's lattice"):
-        bogus.reduced_edges()
+    graph, p = verdict.graph, verdict.potentials
+    assert p == tuple(x * graph.scale for x in (*verdict.sp.l_dst, F(0)))
+    assert all(type(x) is int for x in p)
+    assert min(w + p[s] - p[t] for s, t, w in graph.edges) == 0
+    assert tp.decide(asym3, [2, 2, 2]).potentials is None
+    real = region.shortest_paths
+    for l_dst, message in [((F(-1, 3 * graph.scale), F(0), F(0)), "off the graph's lattice"),
+                           ((F(-1), F(0), F(0)), "leave a negative edge")]:
+        monkeypatch.setattr(region, "shortest_paths",
+                            lambda g, l_dst=l_dst: real(g)._replace(l_dst=l_dst))
+        with pytest.raises(tp.CertificateError, match=message):
+            tp.decide(asym3, [1, 1, 1])
+
+
+def test_member_allocates_no_more_than_its_decision():
+    # the "yes" is checked in `decide` by one pass that keeps no edge list,
+    # so `member` holds nothing beside the decision's own graph
+    K = 200
+    ch = tp.CompoundChannel.from_lists(random_channel(random.Random(2), K, (1, 1)))
+    d = [F(1, 100)] * K
+    peaks = []
+    for answer in (tp.decide, tp.member):
+        tracemalloc.start()
+        try:
+            answer(ch, d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_a_counterpart_is_its_own(comp2):

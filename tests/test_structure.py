@@ -9,9 +9,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tinpower"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _callers(tree, name) -> list[str]:
-    """The dotted scope (class and function names) of each call of ``name``,
-    called bare or as an attribute."""
+def _scoped(tree, kind) -> list[tuple[str, ast.AST]]:
+    """Each node of type ``kind`` with its dotted scope (class and function
+    names)."""
     found = []
 
     def visit(node, scope):
@@ -19,15 +19,23 @@ def _callers(tree, name) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Call):
-                func = child.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    found.append(".".join(scope))
+            elif isinstance(child, kind):
+                found.append((".".join(scope), child))
             visit(child, inner)
 
     visit(tree, ())
     return found
+
+
+def _calls(tree, name) -> list[tuple[str, ast.Call]]:
+    """Each call of ``name``, called bare or as an attribute, with its scope."""
+    return [(scope, call) for scope, call in _scoped(tree, ast.Call)
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+
+
+def _callers(tree, name) -> list[str]:
+    """The dotted scope of each call of ``name``."""
+    return [scope for scope, _ in _calls(tree, name)]
 
 
 def test_channels_are_validated_only_where_built():
@@ -85,13 +93,30 @@ def test_controls_read_only_the_decision_graph():
     verdict = next(node for node in ast.walk(MODULES["region"])
                    if isinstance(node, ast.ClassDef) and node.name == "Verdict")
     fields = [node.target.id for node in verdict.body if isinstance(node, ast.AnnAssign)]
-    assert fields == ["graph", "sp", "bound"]
+    assert fields == ["graph", "sp", "bound", "potentials"]
+
+
+def test_a_yes_is_certified_only_where_it_is_decided():
+    # `_decide` scales the shortest-path lengths onto the graph's lattice and
+    # checks every reduced length under them, once; every reader takes the
+    # verdict's int potentials as they are, and no method rebuilds the edges
+    scaled = [f"{module}.{scope}" for module, tree in MODULES.items()
+              for scope, call in _calls(tree, "on_lattice") if "l_dst" in ast.unparse(call)]
+    assert scaled == ["region._decide"]
+    checks = [f"{module}.{scope}" for module, tree in MODULES.items()
+              for scope, node in _scoped(tree, ast.Constant)
+              if isinstance(node.value, str) and "leave a negative edge" in node.value]
+    assert checks == ["region._decide"]
+    assert not any(isinstance(node, ast.FunctionDef) and node.name == "reduced_edges"
+                   for tree in MODULES.values() for node in ast.walk(tree))
 
 
 def test_sum_optimum_runs_on_the_certified_start():
-    # the circulation reads the d = 0 verdict's reduced edges, which check
-    # the start; the simplex on the potential form is the tests' reference only
-    assert "sum_gdof" in _callers(MODULES["region"], "reduced_edges")
+    # the circulation reads the d = 0 verdict's graph and potentials, which
+    # `decide` certified; the simplex on the potential form is the tests'
+    # reference only
+    circulation = ast.unparse(_function(MODULES["region"], "sum_gdof"))
+    assert "verdict.potentials" in circulation and "verdict.graph.edges" in circulation
     defined = {node.name for node in ast.walk(MODULES["region"])
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_lex_max", "_potential_rows"}
